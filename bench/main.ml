@@ -1091,220 +1091,128 @@ let compile_bench () =
   Printf.printf "wrote BENCH_compile.json\n\n"
 
 (* ------------------------------------------------------------------ *)
-(* Critical-path snapshot (BENCH_critpath.json)                       *)
+(* Recorder snapshots (BENCH_critpath/mem/noc.json)                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Extract the causal critical path of the headline run and snapshot it
-   in the [elk critpath --json-out] shape (plus an [overhead] record),
-   so CI can [elk trace diff] a fresh snapshot against the committed
-   copy.  Segments pre-aggregate by (name, kind, resource) — the same
-   key Tracediff folds on — and values round to 4 significant digits,
-   like BENCH_attrib.json.  The overhead record re-checks the zero-cost
-   contract: recording the event DAG must not perturb the timeline, and
-   its wall-clock cost over the plain run is recorded so a regression in
-   the recording path shows up here. *)
+let sig4 v = Printf.sprintf "%.4g" v
+
+(* Snapshot one recorder report of the headline run so CI can
+   [elk trace diff] a fresh copy against the committed one.  Each
+   snapshot re-checks the zero-cost contract of the recording path it
+   gates: recording must not perturb the simulated timeline, and its
+   wall-clock cost over the plain run ([timed] recorders on vs none) is
+   measured into the [overhead] record, so a regression in the recording
+   path shows up there.  [analyzed] is the recorder set the report
+   reads; [doc] renders the snapshot around the overhead fields. *)
+let recorder_snapshot name ~timed ~analyzed ~report ~doc =
+  let env = Lazy.force default_env in
+  let g = decode llama13b ~batch:32 in
+  match B.plan ~elk_options:bench_elk_options env.D.ctx ~pod:env.D.pod g B.Elk_full with
+  | None -> ()
+  | Some s ->
+      let sim (events, mem, noc) = Elk_sim.Sim.run ~events ~mem ~noc env.D.ctx s in
+      let none = (false, false, false) in
+      let time set =
+        let reps = 5 in
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to reps do
+          ignore (sim set)
+        done;
+        (Unix.gettimeofday () -. t0) /. float_of_int reps
+      in
+      ignore (sim none);
+      let t_off = time none in
+      let t_on = time timed in
+      let r = sim analyzed in
+      let r_off = sim none in
+      if r.Elk_sim.Sim.total <> r_off.Elk_sim.Sim.total then
+        Printf.printf "RECORDING PERTURBED THE TIMELINE: %.9g vs %.9g\n"
+          r.Elk_sim.Sim.total r_off.Elk_sim.Sim.total;
+      let rep = report env.D.ctx s r in
+      (match Elk_analyze.Report.emit rep with
+      | Ok () -> ()
+      | Error m -> Printf.printf "SNAPSHOT CHECK FAILED: %s\n" m);
+      let ratio = t_on /. Float.max 1e-12 t_off in
+      let overhead =
+        Printf.sprintf "\"sim_disabled_s\":%s,\"sim_enabled_s\":%s,\"ratio\":%s"
+          (sig4 t_off) (sig4 t_on) (sig4 ratio)
+      in
+      let file = Printf.sprintf "BENCH_%s.json" name in
+      let oc = open_out file in
+      output_string oc (doc g s r rep ~overhead);
+      close_out oc;
+      Printf.printf "wrote %s (recording overhead %.2fx)\n\n" file ratio
+
+(* The report's own JSON with the design and overhead record spliced
+   after the opening brace, so the Tracediff core keeps its shape. *)
+let spliced _ _ _ (rep : Elk_analyze.Report.t) ~overhead =
+  let body = rep.Elk_analyze.Report.to_json () in
+  Printf.sprintf "{\"design\":%S,\"overhead\":{%s},%s\n" (B.name B.Elk_full) overhead
+    (String.sub body 1 (String.length body - 1))
+
+(* The critical path in the [elk critpath --json-out] shape, with
+   segments pre-aggregated by (name, kind, resource) — the key Tracediff
+   folds on — and values at 4 significant digits, like
+   BENCH_attrib.json. *)
+let critpath_doc g (s : Elk.Schedule.t) (r : Elk_sim.Sim.result) _ ~overhead =
+  let module Cp = Elk_sim.Critpath in
+  let ev = Option.get r.Elk_sim.Sim.events in
+  let sum = Cp.extract ev in
+  let tbl = Hashtbl.create 64 and order = ref [] in
+  List.iter
+    (fun seg ->
+      let name =
+        if seg.Cp.s_op < 0 then "-"
+        else (Graph.get s.Elk.Schedule.graph seg.Cp.s_op).Graph.op.Elk_tensor.Opspec.name
+      in
+      let key = (name, Cp.kind_name seg.Cp.s_kind, Cp.resource_name seg.Cp.s_res) in
+      match Hashtbl.find_opt tbl key with
+      | Some cur -> Hashtbl.replace tbl key (cur +. seg.Cp.s_dur)
+      | None ->
+          Hashtbl.add tbl key seg.Cp.s_dur;
+          order := key :: !order)
+    sum.Cp.segments;
+  let seg_rows =
+    List.rev_map
+      (fun ((name, kind, res) as key) ->
+        Printf.sprintf "{\"name\":%S,\"kind\":%S,\"resource\":%S,\"dur\":%s}" name kind
+          res
+          (sig4 (Hashtbl.find tbl key)))
+      !order
+  in
+  let res_obj =
+    String.concat ","
+      (List.map
+         (fun (res, v) -> Printf.sprintf "\"%s\":%s" (Cp.resource_name res) (sig4 v))
+         sum.Cp.resource_seconds)
+  in
+  Printf.sprintf
+    "{\"model\":%S,\"design\":%S,\"total\":%s,\"dominant\":%S,\n\
+     \"resource_seconds\":{%s},\n\
+     \"overhead\":{%s,\"events\":%d},\n\"segments\":[\n%s\n]}\n"
+    (Graph.name g) (B.name B.Elk_full) (sig4 sum.Cp.total)
+    (Cp.resource_name (Cp.dominant sum))
+    res_obj overhead (Array.length ev)
+    (String.concat ",\n" seg_rows)
+
 let critpath_bench () =
-  let env = Lazy.force default_env in
-  let g = decode llama13b ~batch:32 in
-  match B.plan ~elk_options:bench_elk_options env.D.ctx ~pod:env.D.pod g B.Elk_full with
-  | None -> ()
-  | Some s ->
-      let module Cp = Elk_sim.Critpath in
-      let time reps f =
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          ignore (f ())
-        done;
-        (Unix.gettimeofday () -. t0) /. float_of_int reps
-      in
-      let reps = 5 in
-      ignore (Elk_sim.Sim.run ~events:false env.D.ctx s);
-      let t_off = time reps (fun () -> Elk_sim.Sim.run ~events:false env.D.ctx s) in
-      let t_on = time reps (fun () -> Elk_sim.Sim.run ~events:true env.D.ctx s) in
-      let r = Elk_sim.Sim.run ~events:true env.D.ctx s in
-      let r_off = Elk_sim.Sim.run ~events:false env.D.ctx s in
-      if r.Elk_sim.Sim.total <> r_off.Elk_sim.Sim.total then
-        Printf.printf "RECORDING PERTURBED THE TIMELINE: %.9g vs %.9g\n"
-          r.Elk_sim.Sim.total r_off.Elk_sim.Sim.total;
-      (match r.Elk_sim.Sim.events with
-      | None -> ()
-      | Some ev ->
-          (match Cp.check ev ~total:r.Elk_sim.Sim.total with
-          | Ok () -> ()
-          | Error m -> Printf.printf "CRITPATH LEAK: %s\n" m);
-          let sum = Cp.extract ev in
-          Cp.print ~top:5 ~top_segments:8 s.Elk.Schedule.graph sum;
-          let num v = Printf.sprintf "%.4g" v in
-          let tbl = Hashtbl.create 64 and order = ref [] in
-          List.iter
-            (fun seg ->
-              let name =
-                if seg.Cp.s_op < 0 then "-"
-                else
-                  (Graph.get s.Elk.Schedule.graph seg.Cp.s_op).Graph.op
-                    .Elk_tensor.Opspec.name
-              in
-              let key =
-                (name, Cp.kind_name seg.Cp.s_kind, Cp.resource_name seg.Cp.s_res)
-              in
-              match Hashtbl.find_opt tbl key with
-              | Some cur -> Hashtbl.replace tbl key (cur +. seg.Cp.s_dur)
-              | None ->
-                  Hashtbl.add tbl key seg.Cp.s_dur;
-                  order := key :: !order)
-            sum.Cp.segments;
-          let seg_rows =
-            List.rev_map
-              (fun ((name, kind, res) as key) ->
-                Printf.sprintf "{\"name\":%S,\"kind\":%S,\"resource\":%S,\"dur\":%s}"
-                  name kind res
-                  (num (Hashtbl.find tbl key)))
-              !order
-          in
-          let res_obj =
-            "{"
-            ^ String.concat ","
-                (List.map
-                   (fun (res, v) ->
-                     Printf.sprintf "\"%s\":%s" (Cp.resource_name res) (num v))
-                   sum.Cp.resource_seconds)
-            ^ "}"
-          in
-          let json =
-            Printf.sprintf
-              "{\"model\":%S,\"design\":%S,\"total\":%s,\"dominant\":%S,\n\
-               \"resource_seconds\":%s,\n\
-               \"overhead\":{\"sim_disabled_s\":%s,\"sim_enabled_s\":%s,\
-               \"ratio\":%s,\"events\":%d},\n\"segments\":[\n%s\n]}\n"
-              (Graph.name g) (B.name B.Elk_full) (num sum.Cp.total)
-              (Cp.resource_name (Cp.dominant sum))
-              res_obj (num t_off) (num t_on)
-              (num (t_on /. Float.max 1e-12 t_off))
-              (Array.length ev)
-              (String.concat ",\n" seg_rows)
-          in
-          let oc = open_out "BENCH_critpath.json" in
-          output_string oc json;
-          close_out oc;
-          Printf.printf "wrote BENCH_critpath.json (recording overhead %.2fx)\n\n"
-            (t_on /. Float.max 1e-12 t_off))
+  recorder_snapshot "critpath" ~timed:(true, false, false) ~analyzed:(true, false, false)
+    ~report:(fun _ (s : Elk.Schedule.t) r ->
+      Elk_analyze.Analyze.critpath_report ~top:5 ~top_segments:8 s.Elk.Schedule.graph r)
+    ~doc:critpath_doc
 
-(* ------------------------------------------------------------------ *)
-(* Memory-observability snapshot (BENCH_mem.json)                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Snapshot the headline run's SRAM residency report in the
-   [elk mem --json-out] shape so CI can [elk trace diff] a fresh copy
-   against the committed one.  Like the critpath bench, this re-checks
-   the zero-cost contract for the recording path it gates: residency
-   recording must not perturb the simulated timeline, and its wall-clock
-   overhead over the plain run is measured so a regression in the
-   recording path shows up in the snapshot's [overhead] ratio. *)
 let mem_bench () =
-  let env = Lazy.force default_env in
-  let g = decode llama13b ~batch:32 in
-  match B.plan ~elk_options:bench_elk_options env.D.ctx ~pod:env.D.pod g B.Elk_full with
-  | None -> ()
-  | Some s ->
-      let time reps f =
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          ignore (f ())
-        done;
-        (Unix.gettimeofday () -. t0) /. float_of_int reps
-      in
-      let reps = 5 in
-      ignore (Elk_sim.Sim.run ~mem:false env.D.ctx s);
-      let t_off = time reps (fun () -> Elk_sim.Sim.run ~mem:false env.D.ctx s) in
-      let t_on = time reps (fun () -> Elk_sim.Sim.run ~mem:true env.D.ctx s) in
-      let r = Elk_sim.Sim.run ~mem:true env.D.ctx s in
-      let r_off = Elk_sim.Sim.run ~mem:false env.D.ctx s in
-      if r.Elk_sim.Sim.total <> r_off.Elk_sim.Sim.total then
-        Printf.printf "RECORDING PERTURBED THE TIMELINE: %.9g vs %.9g\n"
-          r.Elk_sim.Sim.total r_off.Elk_sim.Sim.total;
-      let module Mp = Elk_analyze.Memprof in
-      let rep = Mp.analyze env.D.ctx s r in
-      (match Mp.check rep with
-      | Ok () -> ()
-      | Error m -> Printf.printf "MEMORY INVARIANT VIOLATED: %s\n" m);
-      Mp.print ~top:5 rep;
-      let num v = Printf.sprintf "%.4g" v in
-      (* The elk-mem snapshot plus the overhead record, spliced after the
-         opening brace so the Tracediff core keeps its shape. *)
-      let body = Mp.to_json ~top:8 rep in
-      let body = String.sub body 1 (String.length body - 1) in
-      let json =
-        Printf.sprintf
-          "{\"design\":%S,\"overhead\":{\"sim_disabled_s\":%s,\"sim_enabled_s\":%s,\"ratio\":%s},%s\n"
-          (B.name B.Elk_full) (num t_off) (num t_on)
-          (num (t_on /. Float.max 1e-12 t_off))
-          body
-      in
-      let oc = open_out "BENCH_mem.json" in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "wrote BENCH_mem.json (recording overhead %.2fx)\n\n"
-        (t_on /. Float.max 1e-12 t_off)
+  recorder_snapshot "mem" ~timed:(false, true, false) ~analyzed:(false, true, false)
+    ~report:(fun ctx s r -> Elk_analyze.Memprof.(report ~top:8 (analyze ctx s r)))
+    ~doc:spliced
 
-(* ------------------------------------------------------------------ *)
-(* Interconnect-observability snapshot (BENCH_noc.json)               *)
-(* ------------------------------------------------------------------ *)
-
-(* Snapshot the headline run's interconnect congestion report in the
-   [elk noc --json-out] shape so CI can [elk trace diff] a fresh copy
-   against the committed one.  Like the critpath and mem benches, this
-   re-checks the zero-cost contract for the recording path it gates:
-   per-link recording must not perturb the simulated timeline, and its
-   wall-clock overhead over the plain run is measured so a regression
-   in the recording path shows up in the snapshot's [overhead] ratio. *)
+(* The analyzed run also records events so the check can reconcile the
+   trace against Critpath's interconnect segments; the overhead ratio
+   isolates the per-link recording path alone. *)
 let noc_bench () =
-  let env = Lazy.force default_env in
-  let g = decode llama13b ~batch:32 in
-  match B.plan ~elk_options:bench_elk_options env.D.ctx ~pod:env.D.pod g B.Elk_full with
-  | None -> ()
-  | Some s ->
-      let time reps f =
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          ignore (f ())
-        done;
-        (Unix.gettimeofday () -. t0) /. float_of_int reps
-      in
-      let reps = 5 in
-      ignore (Elk_sim.Sim.run ~noc:false env.D.ctx s);
-      let t_off = time reps (fun () -> Elk_sim.Sim.run ~noc:false env.D.ctx s) in
-      let t_on = time reps (fun () -> Elk_sim.Sim.run ~noc:true env.D.ctx s) in
-      (* The analyzed run also records events so check can reconcile the
-         trace against Critpath's interconnect segments; the overhead
-         ratio above isolates the per-link recording path alone. *)
-      let r = Elk_sim.Sim.run ~events:true ~noc:true env.D.ctx s in
-      let r_off = Elk_sim.Sim.run ~noc:false env.D.ctx s in
-      if r.Elk_sim.Sim.total <> r_off.Elk_sim.Sim.total then
-        Printf.printf "RECORDING PERTURBED THE TIMELINE: %.9g vs %.9g\n"
-          r.Elk_sim.Sim.total r_off.Elk_sim.Sim.total;
-      let module Np = Elk_analyze.Nocprof in
-      let rep = Np.analyze s r in
-      (match Np.check rep with
-      | Ok () -> ()
-      | Error m -> Printf.printf "INTERCONNECT INVARIANT VIOLATED: %s\n" m);
-      Np.print ~top:5 rep;
-      let num v = Printf.sprintf "%.4g" v in
-      (* The elk-noc snapshot plus the overhead record, spliced after the
-         opening brace so the Tracediff core keeps its shape. *)
-      let body = Np.to_json ~top:8 rep in
-      let body = String.sub body 1 (String.length body - 1) in
-      let json =
-        Printf.sprintf
-          "{\"design\":%S,\"overhead\":{\"sim_disabled_s\":%s,\"sim_enabled_s\":%s,\"ratio\":%s},%s\n"
-          (B.name B.Elk_full) (num t_off) (num t_on)
-          (num (t_on /. Float.max 1e-12 t_off))
-          body
-      in
-      let oc = open_out "BENCH_noc.json" in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "wrote BENCH_noc.json (recording overhead %.2fx)\n\n"
-        (t_on /. Float.max 1e-12 t_off)
+  recorder_snapshot "noc" ~timed:(false, false, true) ~analyzed:(true, false, true)
+    ~report:(fun _ s r -> Elk_analyze.Nocprof.(report ~top:8 (analyze s r)))
+    ~doc:spliced
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one per table/figure                    *)

@@ -129,18 +129,19 @@ let failing_write ~what f =
     Format.eprintf "elk_cli: cannot write %s: %s@." what msg;
     exit 1
 
+let write_file ~what ?(label = what) path data =
+  failing_write ~what (fun () ->
+      let oc = open_out path in
+      output_string oc data;
+      close_out oc);
+  Format.printf "wrote %s to %s@." label path
+
 let write_metrics = function
   | None -> ()
   | Some path ->
-      let data =
-        if Filename.check_suffix path ".json" then Elk_obs.Metrics.to_json ()
-        else Elk_obs.Metrics.to_prometheus ()
-      in
-      failing_write ~what:"metrics" (fun () ->
-          let oc = open_out path in
-          output_string oc data;
-          close_out oc);
-      Format.printf "wrote metrics to %s@." path
+      write_file ~what:"metrics" path
+        (if Filename.check_suffix path ".json" then Elk_obs.Metrics.to_json ()
+         else Elk_obs.Metrics.to_prometheus ())
 
 (* Merge simulator events (tracks 1-2) with compiler spans (track 3) and
    any extra producer output (e.g. analyzer counter tracks). *)
@@ -308,280 +309,128 @@ let report_cmd =
       const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
       $ chips_t $ cores_t $ topo_t $ jobs_t $ metrics_out_t $ trace_out_t)
 
-let analyze_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology design top
-      json_out metrics_out trace_out =
+(* ---- simulator reports: simulate -> check -> report ------------------- *)
+
+let record_t ~doc kinds =
+  Arg.(value & opt (list (enum kinds)) [] & info [ "record" ] ~docv:"RECORDERS" ~doc)
+
+(* One command per recorder report.  [needs] are the recorders the
+   report reads; [--record] adds others, which must leave the report
+   byte-identical (the cram parity checks).  [build_t] carries the
+   command's own flags into the report builder. *)
+let sim_report_cmd name ~doc ~verb ~needs ~json_doc build_t =
+  let run cfg scale layer_factor batch ctx prefill chips cores topology design record
+      build json_out metrics_out trace_out =
     obs_setup ~metrics_out ~trace_out;
     let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
     let env = make_env ~chips ~cores ~topology in
     match B.plan env.D.ctx ~pod:env.D.pod g design with
     | None ->
-        Format.eprintf "elk_cli: the Ideal roofline has no schedule to analyze@.";
+        Format.eprintf "elk_cli: the Ideal roofline has no schedule to %s@." verb;
         exit 1
     | Some s ->
-        let r = Elk_sim.Sim.run env.D.ctx s in
-        (match Elk_sim.Perfcore.check r.Elk_sim.Sim.perf ~total:r.Elk_sim.Sim.total with
+        let on k = List.mem k needs || List.mem k record in
+        let r =
+          Elk_sim.Sim.run ~events:(on `Events) ~mem:(on `Mem) ~noc:(on `Noc) env.D.ctx s
+        in
+        let rep = build env.D.ctx s r in
+        (match Elk_analyze.Report.emit rep with
         | Ok () -> ()
-        | Error m -> Format.eprintf "elk_cli: attribution leak: %s@." m);
-        let rep = Elk_analyze.Analyze.analyze ~top s.Elk.Schedule.graph r in
-        Elk_analyze.Analyze.print rep;
-        (match json_out with
-        | None -> ()
-        | Some path ->
-            failing_write ~what:"analysis" (fun () ->
-                let oc = open_out path in
-                output_string oc (Elk_analyze.Analyze.to_json rep);
-                close_out oc);
-            Format.printf "wrote analysis to %s@." path);
-        write_trace
-          ~sim:(s.Elk.Schedule.graph, r)
-          ~extra:(Elk_analyze.Analyze.chrome_counter_events ~top r)
-          trace_out;
+        | Error m ->
+            Format.eprintf "elk_cli: %s@." m;
+            exit 1);
+        Option.iter
+          (fun path -> write_file ~what:rep.Elk_analyze.Report.what path (rep.to_json ()))
+          json_out;
+        write_trace ~sim:(s.Elk.Schedule.graph, r) ~extra:(rep.trace_events ()) trace_out;
         write_metrics metrics_out
   in
-  let top_t =
-    Arg.(value & opt int 8 & info [ "top" ] ~doc:"Cores/tracks to show in detail.")
+  let record_t =
+    record_t
+      [ ("events", `Events); ("mem", `Mem); ("noc", `Noc) ]
+      ~doc:
+        "Also run these simulator recorders (comma-separated: events, mem, \
+         noc) beside the ones this report needs.  Recording is pure \
+         bookkeeping: the output is byte-identical whatever the selection."
   in
   let json_out_t =
-    Arg.(value & opt (some string) None
-         & info [ "json-out" ] ~doc:"Write the full bottleneck report as JSON to $(docv).")
+    Arg.(value & opt (some string) None & info [ "json-out" ] ~doc:json_doc)
   in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Simulate a design and print a bottleneck report: per-core \
-          attribution, dominant resource per operator, load imbalance, and \
-          what-if headroom.")
+  Cmd.v (Cmd.info name ~doc)
     Term.(
       const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ design_t $ top_t $ json_out_t $ metrics_out_t
-      $ trace_out_t)
+      $ chips_t $ cores_t $ topo_t $ design_t $ record_t $ build_t $ json_out_t
+      $ metrics_out_t $ trace_out_t)
+
+let top_t default doc = Arg.(value & opt int default & info [ "top" ] ~doc)
+
+let window_t doc =
+  Arg.(value & opt (some float) None & info [ "window" ] ~docv:"SECONDS" ~doc)
+
+let analyze_cmd =
+  sim_report_cmd "analyze" ~verb:"analyze" ~needs:[]
+    ~doc:
+      "Simulate a design and print a bottleneck report: per-core \
+       attribution, dominant resource per operator, load imbalance, and \
+       what-if headroom."
+    ~json_doc:"Write the full bottleneck report as JSON to $(docv)."
+    Term.(
+      const (fun top _ (s : Elk.Schedule.t) r ->
+          Elk_analyze.Analyze.report ~top s.Elk.Schedule.graph r)
+      $ top_t 8 "Cores/tracks to show in detail.")
 
 let critpath_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology design top
-      top_segments json_out metrics_out trace_out =
-    obs_setup ~metrics_out ~trace_out;
-    let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
-    let env = make_env ~chips ~cores ~topology in
-    match B.plan env.D.ctx ~pod:env.D.pod g design with
-    | None ->
-        Format.eprintf "elk_cli: the Ideal roofline has no schedule to trace@.";
-        exit 1
-    | Some s -> (
-        let r = Elk_sim.Sim.run ~events:true env.D.ctx s in
-        match r.Elk_sim.Sim.events with
-        | None ->
-            Format.eprintf "elk_cli: simulator recorded no events@.";
-            exit 1
-        | Some events ->
-            (match Elk_sim.Critpath.check events ~total:r.Elk_sim.Sim.total with
-            | Ok () -> ()
-            | Error m -> Format.eprintf "elk_cli: causal-DAG violation: %s@." m);
-            let sum = Elk_sim.Critpath.extract events in
-            let graph = s.Elk.Schedule.graph in
-            (match
-               Elk_analyze.Analyze.headroom_check
-                 (Elk_analyze.Analyze.analyze graph r)
-                 sum
-             with
-            | Ok () -> ()
-            | Error m ->
-                Format.eprintf "elk_cli: critpath/attribution cross-check: %s@." m);
-            Elk_sim.Critpath.print ~top ~top_segments graph sum;
-            (match json_out with
-            | None -> ()
-            | Some path ->
-                failing_write ~what:"critical path" (fun () ->
-                    let oc = open_out path in
-                    output_string oc (Elk_sim.Critpath.to_json graph sum);
-                    close_out oc);
-                Format.printf "wrote critical path to %s@." path);
-            write_trace ~sim:(graph, r)
-              ~extra:(Elk_sim.Trace.flow_events sum)
-              trace_out;
-            write_metrics metrics_out)
-  in
-  let top_t =
-    Arg.(value & opt int 10 & info [ "top" ] ~doc:"Operators in the blame report.")
-  in
-  let top_segments_t =
-    Arg.(value & opt int 12
-         & info [ "top-segments" ] ~doc:"Critical segments to show in detail.")
-  in
-  let json_out_t =
-    Arg.(value & opt (some string) None
-         & info [ "json-out" ]
-             ~doc:
-               "Write the critical-path snapshot as JSON to $(docv) — the \
-                format $(b,elk trace diff) consumes.")
-  in
-  Cmd.v
-    (Cmd.info "critpath"
-       ~doc:
-         "Simulate a design with causal event tracing and print the critical \
-          path: classified segments, per-operator slack, and a top-k blame \
-          report.  With --trace-out, the causal chain is drawn as Perfetto \
-          flow arrows over the device timeline.")
+  sim_report_cmd "critpath" ~verb:"trace" ~needs:[ `Events ]
+    ~doc:
+      "Simulate a design with causal event tracing and print the critical \
+       path: classified segments, per-operator slack, and a top-k blame \
+       report.  With --trace-out, the causal chain is drawn as Perfetto \
+       flow arrows over the device timeline."
+    ~json_doc:
+      "Write the critical-path snapshot as JSON to $(docv) — the format \
+       $(b,elk trace diff) consumes."
     Term.(
-      const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ design_t $ top_t $ top_segments_t $ json_out_t
-      $ metrics_out_t $ trace_out_t)
+      const (fun top top_segments _ (s : Elk.Schedule.t) r ->
+          Elk_analyze.Analyze.critpath_report ~top ~top_segments s.Elk.Schedule.graph r)
+      $ top_t 10 "Operators in the blame report."
+      $ Arg.(value & opt int 12
+             & info [ "top-segments" ] ~doc:"Critical segments to show in detail."))
 
 let mem_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology design top
-      window json_out metrics_out trace_out =
-    obs_setup ~metrics_out ~trace_out;
-    let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
-    let env = make_env ~chips ~cores ~topology in
-    match B.plan env.D.ctx ~pod:env.D.pod g design with
-    | None ->
-        Format.eprintf "elk_cli: the Ideal roofline has no schedule to profile@.";
-        exit 1
-    | Some s ->
-        let r = Elk_sim.Sim.run ~mem:true env.D.ctx s in
-        let rep = Elk_analyze.Memprof.analyze ?window env.D.ctx s r in
-        (match Elk_analyze.Memprof.check rep with
-        | Ok () -> ()
-        | Error m ->
-            Format.eprintf "elk_cli: memory invariant violated: %s@." m;
-            exit 1);
-        let over = Elk_analyze.Memprof.overcommit_bytes rep in
-        if over > 0. then
-          Format.eprintf
-            "warning[mem.overcommit] peak occupancy %.0f B/core (%.0f B over \
-             per-core SRAM); contention is charged downstream@."
-            rep.Elk_analyze.Memprof.dyn_high_water over;
-        Elk_analyze.Memprof.print ~top rep;
-        (match json_out with
-        | None -> ()
-        | Some path ->
-            failing_write ~what:"memory report" (fun () ->
-                let oc = open_out path in
-                output_string oc (Elk_analyze.Memprof.to_json ~top rep);
-                close_out oc);
-            Format.printf "wrote memory report to %s@." path);
-        Elk_obs.Metrics.set "elk_mem_dyn_high_water_bytes"
-          ~help:"Peak per-core SRAM occupancy (dynamic)"
-          rep.Elk_analyze.Memprof.dyn_high_water;
-        Elk_obs.Metrics.set "elk_mem_static_high_water_bytes"
-          ~help:"Peak per-core SRAM demand (static ledger)"
-          rep.Elk_analyze.Memprof.static_high_water;
-        Elk_obs.Metrics.set "elk_mem_wasted_byte_seconds"
-          ~help:"Pre-use + exchange-tail wasted residency"
-          (rep.Elk_analyze.Memprof.pre_waste
-          +. rep.Elk_analyze.Memprof.post_waste);
-        write_trace
-          ~sim:(s.Elk.Schedule.graph, r)
-          ~extra:(Elk_analyze.Memprof.chrome_counter_events rep)
-          trace_out;
-        write_metrics metrics_out
-  in
-  let top_t =
-    Arg.(value & opt int 10
-         & info [ "top" ] ~doc:"Buffers/operators to show in detail.")
-  in
-  let window_t =
-    Arg.(value & opt (some float) None
-         & info [ "window" ] ~docv:"SECONDS"
-             ~doc:"Occupancy time-series window width (default: makespan/48).")
-  in
-  let json_out_t =
-    Arg.(value & opt (some string) None
-         & info [ "json-out" ]
-             ~doc:
-               "Write the memory report as JSON to $(docv) — the top-level \
-                total/segments follow the format $(b,elk trace diff) consumes.")
-  in
-  Cmd.v
-    (Cmd.info "mem"
-       ~doc:
-         "Simulate a design with SRAM-residency recording and print the \
-          memory report: per-core occupancy timeline, high-water marks vs \
-          usable SRAM, wasted residency, the static buffer-lifetime ledger \
-          and the HBM traffic ledger.  With --trace-out, occupancy gauges \
-          are exported as Perfetto counter tracks beside the device \
-          timeline.")
+  sim_report_cmd "mem" ~verb:"profile" ~needs:[ `Mem ]
+    ~doc:
+      "Simulate a design with SRAM-residency recording and print the \
+       memory report: per-core occupancy timeline, high-water marks vs \
+       usable SRAM, wasted residency, the static buffer-lifetime ledger \
+       and the HBM traffic ledger.  With --trace-out, occupancy gauges \
+       are exported as Perfetto counter tracks beside the device \
+       timeline."
+    ~json_doc:
+      "Write the memory report as JSON to $(docv) — the top-level \
+       total/segments follow the format $(b,elk trace diff) consumes."
     Term.(
-      const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ design_t $ top_t $ window_t $ json_out_t
-      $ metrics_out_t $ trace_out_t)
+      const (fun top window ctx s r ->
+          Elk_analyze.Memprof.(report ~top (analyze ?window ctx s r)))
+      $ top_t 10 "Buffers/operators to show in detail."
+      $ window_t "Occupancy time-series window width (default: makespan/48).")
 
 let noc_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology design top
-      window json_out metrics_out trace_out =
-    obs_setup ~metrics_out ~trace_out;
-    let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
-    let env = make_env ~chips ~cores ~topology in
-    match B.plan env.D.ctx ~pod:env.D.pod g design with
-    | None ->
-        Format.eprintf "elk_cli: the Ideal roofline has no schedule to profile@.";
-        exit 1
-    | Some s ->
-        let r = Elk_sim.Sim.run ~events:true ~noc:true env.D.ctx s in
-        let rep = Elk_analyze.Nocprof.analyze ?window s r in
-        (match Elk_analyze.Nocprof.check rep with
-        | Ok () -> ()
-        | Error m ->
-            Format.eprintf "elk_cli: interconnect invariant violated: %s@." m;
-            exit 1);
-        Elk_analyze.Nocprof.print ~top rep;
-        (match json_out with
-        | None -> ()
-        | Some path ->
-            failing_write ~what:"interconnect report" (fun () ->
-                let oc = open_out path in
-                output_string oc (Elk_analyze.Nocprof.to_json ~top rep);
-                close_out oc);
-            Format.printf "wrote interconnect report to %s@." path);
-        (match rep.Elk_analyze.Nocprof.busiest_dyn with
-        | None -> ()
-        | Some (_, busy) ->
-            Elk_obs.Metrics.set "elk_noc_busiest_link_busy_seconds"
-              ~help:"Reservation time on the hottest interconnect link" busy);
-        Elk_obs.Metrics.set "elk_noc_transfer_bytes"
-          ~help:"Bytes moved over the interconnect, once per transfer"
-          (rep.Elk_analyze.Nocprof.pre_bytes
-          +. rep.Elk_analyze.Nocprof.dist_bytes
-          +. rep.Elk_analyze.Nocprof.ex_bytes);
-        Elk_obs.Metrics.set "elk_noc_mean_hops"
-          ~help:"Byte-weighted mean route length"
-          rep.Elk_analyze.Nocprof.mean_hops;
-        write_trace
-          ~sim:(s.Elk.Schedule.graph, r)
-          ~extra:(Elk_analyze.Nocprof.chrome_counter_events rep)
-          trace_out;
-        write_metrics metrics_out
-  in
-  let top_t =
-    Arg.(value & opt int 10
-         & info [ "top" ] ~doc:"Hottest links to show in detail.")
-  in
-  let window_t =
-    Arg.(value & opt (some float) None
-         & info [ "window" ] ~docv:"SECONDS"
-             ~doc:"Utilization time-series window width (default: makespan/48).")
-  in
-  let json_out_t =
-    Arg.(value & opt (some string) None
-         & info [ "json-out" ]
-             ~doc:
-               "Write the interconnect report as JSON to $(docv) — the \
-                top-level total/segments follow the format $(b,elk trace \
-                diff) consumes.")
-  in
-  Cmd.v
-    (Cmd.info "noc"
-       ~doc:
-         "Simulate a design with per-link interconnect recording and print \
-          the congestion report: hottest links with traffic-class breakdown, \
-          route-length histogram, a mesh heatmap on 2D topologies, and the \
-          dynamic-vs-static cross-check against the schedule's \
-          communication.  With --trace-out, per-link utilization gauges are \
-          exported as Perfetto counter tracks beside the device timeline.")
+  sim_report_cmd "noc" ~verb:"profile" ~needs:[ `Events; `Noc ]
+    ~doc:
+      "Simulate a design with per-link interconnect recording and print \
+       the congestion report: hottest links with traffic-class breakdown, \
+       route-length histogram, a mesh heatmap on 2D topologies, and the \
+       dynamic-vs-static cross-check against the schedule's \
+       communication.  With --trace-out, per-link utilization gauges are \
+       exported as Perfetto counter tracks beside the device timeline."
+    ~json_doc:
+      "Write the interconnect report as JSON to $(docv) — the top-level \
+       total/segments follow the format $(b,elk trace diff) consumes."
     Term.(
-      const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ design_t $ top_t $ window_t $ json_out_t
-      $ metrics_out_t $ trace_out_t)
+      const (fun top window _ s r ->
+          Elk_analyze.Nocprof.(report ~top (analyze ?window s r)))
+      $ top_t 10 "Hottest links to show in detail."
+      $ window_t "Utilization time-series window width (default: makespan/48).")
 
 let trace_cmd =
   let diff_cmd =
@@ -603,14 +452,11 @@ let trace_cmd =
           exit 2
       | Ok d ->
           Elk_analyze.Tracediff.print ~top d;
-          (match json_out with
-          | None -> ()
-          | Some path ->
-              failing_write ~what:"trace diff" (fun () ->
-                  let oc = open_out path in
-                  output_string oc (Elk_analyze.Tracediff.to_json ~threshold d);
-                  close_out oc);
-              Format.printf "wrote diff to %s@." path);
+          Option.iter
+            (fun path ->
+              write_file ~what:"trace diff" ~label:"diff" path
+                (Elk_analyze.Tracediff.to_json ~threshold d))
+            json_out;
           if Elk_analyze.Tracediff.regressed ~threshold d then begin
             List.iter
               (fun e ->
@@ -669,11 +515,17 @@ let profile_cmd =
     let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
     let env = make_env ~chips ~cores ~topology in
     let c = Elk.Compile.compile env.D.ctx ~pod:env.D.pod g in
-    let totals = Elk_obs.Span.totals () in
+    (* Pool workers run spans of one phase at the same time, so a
+       phase's summed span time (cpu) can exceed the wall time it
+       covers; the share is of wall time, hence at most 100%. *)
+    let totals =
+      List.map (fun (name, calls, cpu) -> (name, calls, cpu, Elk_obs.Span.wall name))
+        (Elk_obs.Span.totals ())
+    in
     let overall =
-      match List.find_opt (fun (name, _, _) -> name = "compile") totals with
-      | Some (_, _, tot) -> tot
-      | None -> List.fold_left (fun a (_, _, tot) -> a +. tot) 0. totals
+      match List.find_opt (fun (name, _, _, _) -> name = "compile") totals with
+      | Some (_, _, _, wall) -> wall
+      | None -> List.fold_left (fun a (_, _, _, wall) -> a +. wall) 0. totals
     in
     let fmt_t v = Format.asprintf "%a" Elk_util.Units.pp_time v in
     let t =
@@ -681,17 +533,18 @@ let profile_cmd =
         ~title:
           (Printf.sprintf "compile phases for %s (%d orders tried)"
              (Elk_model.Graph.name g) c.Elk.Compile.orders_tried)
-        ~columns:[ "phase"; "calls"; "total"; "mean"; "share" ]
+        ~columns:[ "phase"; "calls"; "wall"; "cpu"; "mean"; "share" ]
     in
     List.iter
-      (fun (name, calls, tot) ->
+      (fun (name, calls, cpu, wall) ->
         Elk_util.Table.add_row t
           [
             name;
             string_of_int calls;
-            fmt_t tot;
-            fmt_t (tot /. float_of_int (max 1 calls));
-            Printf.sprintf "%.1f%%" (100. *. tot /. Float.max 1e-12 overall);
+            fmt_t wall;
+            fmt_t cpu;
+            fmt_t (cpu /. float_of_int (max 1 calls));
+            Printf.sprintf "%.1f%%" (100. *. wall /. Float.max 1e-12 overall);
           ])
       totals;
     Elk_util.Table.print t;
@@ -805,14 +658,10 @@ let verify_cmd =
       let program = Elk.Program.of_schedule sched in
       let r = V.run ~rules:sel ~promote ~program env.D.ctx sched in
       Format.printf "%a" V.pp_report r;
-      (match json_out with
-      | None -> ()
-      | Some path ->
-          failing_write ~what:"verification report" (fun () ->
-              let oc = open_out path in
-              output_string oc (V.report_to_json r);
-              close_out oc);
-          Format.printf "wrote report to %s@." path);
+      Option.iter
+        (fun path ->
+          write_file ~what:"verification report" ~label:"report" path (V.report_to_json r))
+        json_out;
       write_trace trace_out;
       write_metrics metrics_out;
       if V.errors r > 0 then exit 1;
@@ -877,65 +726,62 @@ let lint_cmd =
       true
     end
     else begin
-      let res = Elk_sim.Sim.run ~events:true env.D.ctx sched in
-      match res.Elk_sim.Sim.events with
-      | None ->
-          Format.eprintf "elk_cli: simulator recorded no events@.";
-          false
-      | Some events ->
-          let find_any op kinds =
-            List.find_map (fun kind -> C.find_event events ~op ~kind) kinds
-          in
-          (* The event realizing a buffer's first write: a preload buffer
-             is written by its delivery (pure-sequencing fallbacks for
-             zero-byte preloads), an execute buffer by its distribution
-             or compute. *)
-          let writer op = function
-            | "preload" -> find_any op [ C.Preload_deliver; C.Hbm_read; C.Preload_issue ]
-            | _ -> find_any op [ C.Distribute; C.Tile_compute ]
-          in
-          (* The event realizing a buffer's last read: a preload buffer is
-             consumed by its op's distribution, an execute buffer by the
-             exchange tail. *)
-          let release op = function
-            | "preload" -> find_any op [ C.Distribute; C.Tile_compute ]
-            | _ -> find_any op [ C.Exchange; C.Tile_compute ]
-          in
-          let ok = ref true in
-          List.iter
-            (fun d ->
-              let p k = List.assoc_opt k d.Dg.payload in
-              match (p "victim_op", p "victim_kind", p "clobber_op", p "clobber_kind") with
-              | ( Some (Dg.Int vo),
-                  Some (Dg.Str vk),
-                  Some (Dg.Int co),
-                  Some (Dg.Str ck) ) -> (
-                  match (release vo vk, writer co ck) with
-                  | Some rel, Some acq ->
-                      if C.reaches events ~src:rel ~dst:acq then begin
-                        ok := false;
-                        Format.eprintf
-                          "crosscheck FAILED: %s — the simulated causal DAG \
-                           orders op %d's release before op %d's write@."
-                          d.Dg.rule vo co
-                      end
-                  | _ ->
-                      ok := false;
-                      Format.eprintf
-                        "crosscheck FAILED: no simulated events for the %s \
-                         pair (ops %d, %d)@."
-                        d.Dg.rule vo co)
+      let events =
+        Option.get (Elk_sim.Sim.run ~events:true env.D.ctx sched).Elk_sim.Sim.events
+      in
+      let find_any op kinds =
+        List.find_map (fun kind -> C.find_event events ~op ~kind) kinds
+      in
+      (* The event realizing a buffer's first write: a preload buffer
+         is written by its delivery (pure-sequencing fallbacks for
+         zero-byte preloads), an execute buffer by its distribution
+         or compute. *)
+      let writer op = function
+        | "preload" -> find_any op [ C.Preload_deliver; C.Hbm_read; C.Preload_issue ]
+        | _ -> find_any op [ C.Distribute; C.Tile_compute ]
+      in
+      (* The event realizing a buffer's last read: a preload buffer is
+         consumed by its op's distribution, an execute buffer by the
+         exchange tail. *)
+      let release op = function
+        | "preload" -> find_any op [ C.Distribute; C.Tile_compute ]
+        | _ -> find_any op [ C.Exchange; C.Tile_compute ]
+      in
+      let ok = ref true in
+      List.iter
+        (fun d ->
+          let p k = List.assoc_opt k d.Dg.payload in
+          match (p "victim_op", p "victim_kind", p "clobber_op", p "clobber_kind") with
+          | ( Some (Dg.Int vo),
+              Some (Dg.Str vk),
+              Some (Dg.Int co),
+              Some (Dg.Str ck) ) -> (
+              match (release vo vk, writer co ck) with
+              | Some rel, Some acq ->
+                  if C.reaches events ~src:rel ~dst:acq then begin
+                    ok := false;
+                    Format.eprintf
+                      "crosscheck FAILED: %s — the simulated causal DAG \
+                       orders op %d's release before op %d's write@."
+                      d.Dg.rule vo co
+                  end
               | _ ->
                   ok := false;
-                  Format.eprintf "crosscheck FAILED: %s carries no race payload@."
-                    d.Dg.rule)
-            race_diags;
-          if !ok then
-            Format.printf
-              "crosscheck: %d race diagnostic(s) confirmed unordered in the \
-               simulated causal DAG@."
-              (List.length race_diags);
-          !ok
+                  Format.eprintf
+                    "crosscheck FAILED: no simulated events for the %s \
+                     pair (ops %d, %d)@."
+                    d.Dg.rule vo co)
+          | _ ->
+              ok := false;
+              Format.eprintf "crosscheck FAILED: %s carries no race payload@."
+                d.Dg.rule)
+        race_diags;
+      if !ok then
+        Format.printf
+          "crosscheck: %d race diagnostic(s) confirmed unordered in the \
+           simulated causal DAG@."
+          (List.length race_diags);
+      !ok
     end
   in
   let run cfg scale layer_factor batch ctx prefill chips cores topology jobs design
@@ -992,22 +838,13 @@ let lint_cmd =
     let program = Elk.Program.of_schedule sched in
     let r = V.run ~rules:sel ~promote ?layout ~program env.D.ctx sched in
     Format.printf "%a" V.pp_report r;
-    (match json_out with
-    | None -> ()
-    | Some path ->
-        failing_write ~what:"lint report" (fun () ->
-            let oc = open_out path in
-            output_string oc (V.report_to_json r);
-            close_out oc);
-        Format.printf "wrote report to %s@." path);
-    (match sarif_out with
-    | None -> ()
-    | Some path ->
-        failing_write ~what:"SARIF report" (fun () ->
-            let oc = open_out path in
-            output_string oc (Elk_verify.Sarif.of_report r);
-            close_out oc);
-        Format.printf "wrote SARIF to %s@." path);
+    Option.iter
+      (fun path -> write_file ~what:"lint report" ~label:"report" path (V.report_to_json r))
+      json_out;
+    Option.iter
+      (fun path ->
+        write_file ~what:"SARIF report" ~label:"SARIF" path (Elk_verify.Sarif.of_report r))
+      sarif_out;
     let cross_ok = if crosscheck then crosscheck_races env sched r else true in
     write_trace trace_out;
     write_metrics metrics_out;
@@ -1074,7 +911,8 @@ let serve_cmd =
   let module F = Elk_serve.Frontend in
   let run cfg scale layer_factor chips cores topology jobs no_cache design workload
       rate requests seed prompt output max_batch plan_cache_cap slo_ttft slo_itl
-      window mem noc json_out metrics_out trace_out =
+      window record json_out metrics_out trace_out =
+    let mem = List.mem `Mem record and noc = List.mem `Noc record in
     set_jobs jobs;
     set_cache no_cache;
     obs_setup ~metrics_out ~trace_out;
@@ -1108,15 +946,10 @@ let serve_cmd =
         exit 1
     | Ok (result, report) ->
         Elk_serve.Slo.print report;
-        (match json_out with
-        | None -> ()
-        | Some path ->
-            failing_write ~what:"SLO report" (fun () ->
-                let oc = open_out path in
-                output_string oc (Elk_serve.Slo.to_json report);
-                output_string oc "\n";
-                close_out oc);
-            Format.printf "wrote SLO report to %s@." path);
+        Option.iter
+          (fun path ->
+            write_file ~what:"SLO report" path (Elk_serve.Slo.to_json report ^ "\n"))
+          json_out;
         let counters =
           List.concat_map
             (fun name ->
@@ -1179,29 +1012,16 @@ let serve_cmd =
       & info [ "slo-itl" ]
           ~doc:"Mean inter-token-latency target in seconds; enables SLO attainment.")
   in
-  let window_t =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "window" ]
-          ~doc:"Time-series window width in seconds (default: makespan/48).")
-  in
-  let mem_t =
-    Arg.(
-      value & flag
-      & info [ "mem" ]
-          ~doc:
-            "Also record a per-core SRAM high-water gauge (the static demand \
-             of the plans serving each batch) into the time series.")
-  in
-  let noc_t =
-    Arg.(
-      value & flag
-      & info [ "noc" ]
-          ~doc:
-            "Also record a busiest-interconnect-link gauge (reservation \
-             seconds on the hottest link of the plans serving each batch) \
-             into the time series.")
+  let window_t = window_t "Time-series window width in seconds (default: makespan/48)." in
+  let record_t =
+    record_t
+      [ ("mem", `Mem); ("noc", `Noc) ]
+      ~doc:
+        "Also record these per-batch gauges into the time series \
+         (comma-separated): $(b,mem), the per-core SRAM high water (static \
+         demand of the plans serving each batch); $(b,noc), the \
+         reservation seconds on the busiest interconnect link of those \
+         plans (runs the simulator's per-link recorder)."
   in
   let json_out_t =
     Arg.(
@@ -1222,7 +1042,7 @@ let serve_cmd =
       const run $ model_t $ scale_t $ layer_factor_t $ chips_t $ cores_t
       $ topo_t $ jobs_t $ no_cache_t $ design_t $ workload_t $ rate_t
       $ requests_t $ seed_t $ prompt_t $ output_t $ max_batch_t
-      $ plan_cache_cap_t $ slo_ttft_t $ slo_itl_t $ window_t $ mem_t $ noc_t
+      $ plan_cache_cap_t $ slo_ttft_t $ slo_itl_t $ window_t $ record_t
       $ json_out_t $ metrics_out_t $ trace_out_t)
 
 let () =

@@ -131,11 +131,7 @@ let slack_headroom rep (s : Cp.summary) =
 let headroom_check rep (s : Cp.summary) =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let tol = 1e-6 *. Float.max 1e-12 rep.total in
-  let rel_err a b =
-    let scale = Float.max (Float.abs a) (Float.abs b) in
-    if scale <= 0. then 0. else Float.abs (a -. b) /. scale
-  in
-  if rel_err rep.total s.Cp.total > 1e-6 then
+  if Elk_util.Stats.rel_err rep.total s.Cp.total > 1e-6 then
     err "attribution total %.9g and critical-path total %.9g differ" rep.total
       s.Cp.total
   else begin
@@ -329,3 +325,43 @@ let chrome_counter_events ?(bins = series_bins) ?(top = 8) (r : Elk_sim.Sim.resu
           (Printf.sprintf "core %d busy" c)
           (Array.to_list (Elk_util.Series.bins perf.Pc.core_busy.(c) ~n:bins)))
       busiest
+
+(* ---- report skeletons ------------------------------------------------ *)
+
+let prefixed what = Result.map_error (fun m -> what ^ ": " ^ m)
+
+let report ?top graph (r : Elk_sim.Sim.result) =
+  let rep = analyze ?top graph r in
+  {
+    Report.what = "analysis";
+    check = prefixed "attribution leak" (Pc.check r.Elk_sim.Sim.perf ~total:r.Elk_sim.Sim.total);
+    warnings = [];
+    print = (fun () -> print rep);
+    to_json = (fun () -> to_json rep);
+    trace_events = (fun () -> chrome_counter_events ?top r);
+    gauges = [];
+  }
+
+let critpath_report ?top ?top_segments graph (r : Elk_sim.Sim.result) =
+  let events =
+    match r.Elk_sim.Sim.events with
+    | Some ev -> ev
+    | None ->
+        invalid_arg
+          "Analyze.critpath_report: simulator run has no events (run with \
+           ~events:true)"
+  in
+  let sum = Cp.extract events in
+  {
+    Report.what = "critical path";
+    check =
+      Result.bind
+        (prefixed "causal-DAG violation" (Cp.check events ~total:r.Elk_sim.Sim.total))
+        (fun () ->
+          prefixed "critpath/attribution cross-check" (headroom_check (analyze graph r) sum));
+    warnings = [];
+    print = (fun () -> Cp.print ?top ?top_segments graph sum);
+    to_json = (fun () -> Cp.to_json graph sum);
+    trace_events = (fun () -> Elk_sim.Trace.flow_events sum);
+    gauges = [];
+  }

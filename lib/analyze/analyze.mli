@@ -100,3 +100,19 @@ val chrome_counter_events :
     for the [top] (default 8) busiest cores, sampled at [bins] (default
     60) points.  Merge with {!Elk_sim.Trace.chrome_events} and
     {!Elk_obs.Span.chrome_events} into one trace file. *)
+
+val report : ?top:int -> Elk_model.Graph.t -> Elk_sim.Sim.result -> Report.t
+(** [elk analyze]: {!analyze} checked by {!Elk_sim.Perfcore.check} (no
+    attribution time may leak), printed by {!print}, with
+    {!chrome_counter_events} for the trace. *)
+
+val critpath_report :
+  ?top:int ->
+  ?top_segments:int ->
+  Elk_model.Graph.t ->
+  Elk_sim.Sim.result ->
+  Report.t
+(** [elk critpath]: the causal critical path of a run recorded with
+    [~events:true], checked by {!Elk_sim.Critpath.check} and
+    {!headroom_check}, with the chain's Perfetto flow arrows for the
+    trace.  Raises [Invalid_argument] if the run has no events. *)

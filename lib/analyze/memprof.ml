@@ -66,7 +66,7 @@ let analyze ?window ctx (s : Elk.Schedule.t) (r : Elk_sim.Sim.result) =
     | None ->
         invalid_arg
           "Memprof.analyze: simulator run has no memory record (run with \
-           ~mem:true or ELK_SIM_MEM=1)"
+           ~mem:true)"
   in
   let chip = P.ctx_chip ctx in
   let capacity = A.usable_sram_per_core chip in
@@ -179,16 +179,7 @@ let check rep =
   else if rep.pre_waste < 0. || rep.post_waste < 0. then
     err "negative wasted residency (%.3g pre, %.3g post)" rep.pre_waste
       rep.post_waste
-  else
-    let bad =
-      List.find_map
-        (fun name ->
-          match Ts.check_tiling rep.series ~horizon:rep.total name with
-          | Ok () -> None
-          | Error m -> Some m)
-        series_names
-    in
-    match bad with Some m -> Error m | None -> Ok ()
+  else Report.check_tiling rep.series ~horizon:rep.total series_names
 
 (* ---- tables ----------------------------------------------------------- *)
 
@@ -269,18 +260,6 @@ let tables ?(top = 10) rep =
     by_bytes;
   [ summary; waste; hbm ]
 
-let sparkline values =
-  let glyphs = [| " "; "_"; "."; ":"; "-"; "="; "+"; "*"; "#" |] in
-  let hi = List.fold_left Float.max 0. values in
-  if hi <= 0. then String.concat "" (List.map (fun _ -> glyphs.(0)) values)
-  else
-    String.concat ""
-      (List.map
-         (fun v ->
-           let i = int_of_float (Float.round (v /. hi *. 8.)) in
-           glyphs.(max 0 (min 8 i)))
-         values)
-
 let print ?top rep =
   List.iter Elk_util.Table.print (tables ?top rep);
   let points =
@@ -289,21 +268,16 @@ let print ?top rep =
   if points <> [] then begin
     let vals = List.map (fun p -> p.Ts.mean) points in
     Printf.printf "SRAM occupancy over time (%d windows, peak %s KB/core):\n  %s\n"
-      (List.length points) (kb rep.dyn_high_water) (sparkline vals)
+      (List.length points) (kb rep.dyn_high_water) (Elk_util.Table.sparkline vals)
   end
 
 (* ---- JSON snapshot ---------------------------------------------------- *)
 
-(* Round like the SLO snapshot so the committed file is stable under
-   float noise. *)
-let g v = J.number (float_of_string (Printf.sprintf "%.6g" v))
+let g = J.rounded
 
 let to_json ?(top = 10) rep =
   let cap_cores = rep.capacity *. float_of_int rep.cores in
-  let seg name kind dur =
-    Printf.sprintf "{\"name\":%s,\"kind\":%s,\"resource\":\"sram\",\"dur\":%s}"
-      (J.quote name) (J.quote kind) (g dur)
-  in
+  let seg name kind dur = Report.segment ~resource:"sram" ~name ~kind dur in
   (* Waste in capacity-seconds: byte-seconds normalized by the chip's
      total SRAM, so segment durations live on the makespan's scale and
      Tracediff's threshold (a fraction of the old total) is meaningful. *)
@@ -345,13 +319,9 @@ let to_json ?(top = 10) rep =
   in
   String.concat ""
     [
-      "{";
-      Printf.sprintf "\"model\":%s," (J.quote rep.model);
-      (* Tracediff-comparable core: total + segments *)
-      Printf.sprintf "\"total\":%s,\"dominant\":\"sram\"," (g rep.total);
-      Printf.sprintf "\"resource_seconds\":{\"sram\":%s},"
-        (g ((rep.pre_waste +. rep.post_waste) /. cap_cores));
-      Printf.sprintf "\"segments\":[%s]," (String.concat "," segments);
+      Report.tracediff_head ~model:rep.model ~total:rep.total ~resource:"sram"
+        ~seconds:((rep.pre_waste +. rep.post_waste) /. cap_cores)
+        segments;
       (* Full memory payload *)
       Printf.sprintf "\"capacity_bytes\":%s,\"cores\":%d," (g rep.capacity)
         rep.cores;
@@ -393,3 +363,33 @@ let chrome_counter_events rep =
         Ts.chrome_counter_events rep.series ~horizon:rep.total ~pid:mem_pid
           name)
       series_names
+
+(* ---- report skeleton -------------------------------------------------- *)
+
+let report ?top rep =
+  let over = overcommit_bytes rep in
+  {
+    Report.what = "memory report";
+    check = Result.map_error (fun m -> "memory invariant violated: " ^ m) (check rep);
+    warnings =
+      (if over > 0. then
+         [
+           Printf.sprintf
+             "warning[mem.overcommit] peak occupancy %.0f B/core (%.0f B over \
+              per-core SRAM); contention is charged downstream"
+             rep.dyn_high_water over;
+         ]
+       else []);
+    print = (fun () -> print ?top rep);
+    to_json = (fun () -> to_json ?top rep);
+    trace_events = (fun () -> chrome_counter_events rep);
+    gauges =
+      [
+        ( "elk_mem_dyn_high_water_bytes", "Peak per-core SRAM occupancy (dynamic)",
+          rep.dyn_high_water );
+        ( "elk_mem_static_high_water_bytes", "Peak per-core SRAM demand (static ledger)",
+          rep.static_high_water );
+        ( "elk_mem_wasted_byte_seconds", "Pre-use + exchange-tail wasted residency",
+          rep.pre_waste +. rep.post_waste );
+      ];
+  }

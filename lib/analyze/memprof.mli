@@ -87,3 +87,7 @@ val mem_pid : int
 val chrome_counter_events : report -> string list
 (** Occupancy gauges plus a flat capacity line as Perfetto counter
     tracks under {!mem_pid}, for embedding beside the device timeline. *)
+
+val report : ?top:int -> report -> Report.t
+(** [elk mem]: {!check}ed, with the [mem.overcommit] warning, the
+    occupancy counter tracks and the high-water / waste gauges. *)

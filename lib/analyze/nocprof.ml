@@ -128,7 +128,7 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
     | None ->
         invalid_arg
           "Nocprof.analyze: simulator run has no interconnect record (run \
-           with ~noc:true or ELK_SIM_NOC=1)"
+           with ~noc:true)"
   in
   let noc = Nt.noc trace in
   let chip = N.chip noc in
@@ -286,9 +286,7 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
 
 (* ---- cross-checks ----------------------------------------------------- *)
 
-let rel_err a b =
-  let scale = Float.max (Float.abs a) (Float.abs b) in
-  if scale <= 0. then 0. else Float.abs (a -. b) /. scale
+let rel_err = Elk_util.Stats.rel_err
 
 (* The invariants `elk noc` enforces on every run (and CI on every zoo
    model): the dynamic per-link volumes agree with the static Load
@@ -300,139 +298,105 @@ let rel_err a b =
    carries must equal the trace's. *)
 let check rep =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let link_drift =
-    List.find_opt (fun row -> rel_err row.l_volume row.l_static > drift_eps) rep.rows
+  let ( let* ) = Result.bind in
+  let* () =
+    match List.find_opt (fun row -> rel_err row.l_volume row.l_static > drift_eps) rep.rows with
+    | Some row ->
+        err
+          "link %s: recorded volume %.6g B drifts from the static Load \
+           mirror's %.6g B — the simulator and Noc.Load disagree"
+          row.l_name row.l_volume row.l_static
+    | None -> Ok ()
   in
-  match link_drift with
-  | Some row ->
-      err
-        "link %s: recorded volume %.6g B drifts from the static Load \
-         mirror's %.6g B — the simulator and Noc.Load disagree"
-        row.l_name row.l_volume row.l_static
-  | None -> (
-      match (rep.busiest_dyn, rep.busiest_static) with
-      | Some (dl, dt), Some (sl, st)
-        when dl <> sl && rel_err dt st > drift_eps ->
-          err "busiest link diverged: recorded %s (%.3g s) vs static %s (%.3g s)"
-            (N.link_name dl) dt (N.link_name sl) st
-      | Some (_, dt), Some (_, st) when rel_err dt st > drift_eps ->
-          err "busiest-link volume drifted: recorded %.6g s vs static %.6g s"
-            dt st
-      | Some _, None | None, Some _ ->
-          err "busiest link exists in only one of the dynamic/static views"
-      | _ ->
-          let class_drift =
-            List.find_opt
-              (fun (_, got, want) -> rel_err got want > drift_eps)
-              [
-                ("preload", rep.pre_bytes, rep.expect_pre);
-                ("distribute", rep.dist_bytes, rep.expect_dist);
-                ("exchange", rep.ex_bytes, rep.expect_ex);
-              ]
-          in
-          (match class_drift with
-          | Some (cls, got, want) ->
-              err "%s class bytes %.6g drift from the schedule's %.6g" cls got
-                want
-          | None ->
-              let bad_port = ref None in
-              Array.iteri
-                (fun op (got, want) ->
-                  if !bad_port = None && rel_err got want > drift_eps then
-                    bad_port := Some (op, got, want))
-                rep.port_attrib;
-              (match !bad_port with
-              | Some (op, got, want) ->
-                  err
-                    "op %d: port wait recomputed from the trace (%.6g s) \
-                     drifts from Perfcore's attribution (%.6g s)"
-                    op got want
-              | None ->
-                  let overlap =
-                    List.find_map
-                      (fun row ->
-                        let check_cls label ivs =
-                          let rec go = function
-                            | (_, b) :: (((a2, _) :: _) as rest) ->
-                                if a2 < b -. (drift_eps *. Float.max 1. rep.total)
-                                then Some (row.l_name, label)
-                                else go rest
-                            | _ -> None
-                          in
-                          go ivs
-                        in
-                        let pre, exch =
-                          Nt.busy_intervals rep.trace ~link:row.l_link
-                        in
-                        match check_cls "preload" pre with
-                        | Some x -> Some x
-                        | None -> check_cls "exchange" exch)
-                      rep.rows
-                  in
-                  (match overlap with
-                  | Some (name, cls) ->
-                      err
-                        "link %s: overlapping %s-class reservations — the \
-                         fabric's serialization was not recorded faithfully"
-                        name cls
-                  | None ->
-                      let ev_drift =
-                        match rep.events with
-                        | None -> None
-                        | Some events ->
-                            Array.fold_left
-                              (fun acc (e : Elk_sim.Critpath.event) ->
-                                if acc <> None then acc
-                                else
-                                  let against cls =
-                                    let len =
-                                      e.Elk_sim.Critpath.t_end
-                                      -. e.Elk_sim.Critpath.t_start
-                                    in
-                                    let want =
-                                      Float.min len
-                                        (Nt.max_wait rep.trace
-                                           ~op:e.Elk_sim.Critpath.op ~cls)
-                                    in
-                                    if
-                                      rel_err e.Elk_sim.Critpath.port_wait want
-                                      > drift_eps
-                                    then
-                                      Some
-                                        ( e.Elk_sim.Critpath.op,
-                                          e.Elk_sim.Critpath.port_wait,
-                                          want )
-                                    else None
-                                  in
-                                  match e.Elk_sim.Critpath.kind with
-                                  | Elk_sim.Critpath.Distribute ->
-                                      against Nt.Distribute
-                                  | Elk_sim.Critpath.Exchange ->
-                                      against Nt.Exchange
-                                  | _ -> None)
-                              None events
-                      in
-                      (match ev_drift with
-                      | Some (op, got, want) ->
-                          err
-                            "op %d: Critpath port_wait %.6g s disagrees with \
-                             the trace's max queueing wait %.6g s"
-                            op got want
-                      | None ->
-                          let bad =
-                            List.find_map
-                              (fun name ->
-                                match
-                                  Ts.check_tiling rep.series ~horizon:rep.total
-                                    name
-                                with
-                                | Ok () -> None
-                                | Error m -> Some m)
-                              rep.series_names
-                          in
-                          (match bad with
-                          | Some m -> Error m
-                          | None -> Ok ()))))))
+  let* () =
+    match (rep.busiest_dyn, rep.busiest_static) with
+    | Some (dl, dt), Some (sl, st) when dl <> sl && rel_err dt st > drift_eps ->
+        err "busiest link diverged: recorded %s (%.3g s) vs static %s (%.3g s)"
+          (N.link_name dl) dt (N.link_name sl) st
+    | Some (_, dt), Some (_, st) when rel_err dt st > drift_eps ->
+        err "busiest-link volume drifted: recorded %.6g s vs static %.6g s" dt st
+    | Some _, None | None, Some _ ->
+        err "busiest link exists in only one of the dynamic/static views"
+    | _ -> Ok ()
+  in
+  let* () =
+    match
+      List.find_opt
+        (fun (_, got, want) -> rel_err got want > drift_eps)
+        [
+          ("preload", rep.pre_bytes, rep.expect_pre);
+          ("distribute", rep.dist_bytes, rep.expect_dist);
+          ("exchange", rep.ex_bytes, rep.expect_ex);
+        ]
+    with
+    | Some (cls, got, want) ->
+        err "%s class bytes %.6g drift from the schedule's %.6g" cls got want
+    | None -> Ok ()
+  in
+  let* () =
+    let bad = ref None in
+    Array.iteri
+      (fun op (got, want) ->
+        if !bad = None && rel_err got want > drift_eps then bad := Some (op, got, want))
+      rep.port_attrib;
+    match !bad with
+    | Some (op, got, want) ->
+        err
+          "op %d: port wait recomputed from the trace (%.6g s) drifts from \
+           Perfcore's attribution (%.6g s)"
+          op got want
+    | None -> Ok ()
+  in
+  let* () =
+    let overlapping label ivs =
+      let rec go = function
+        | (_, b) :: (((a2, _) :: _) as rest) ->
+            a2 < b -. (drift_eps *. Float.max 1. rep.total) || go rest
+        | _ -> false
+      in
+      if go ivs then Some label else None
+    in
+    let overlap =
+      List.find_map
+        (fun row ->
+          let pre, exch = Nt.busy_intervals rep.trace ~link:row.l_link in
+          match overlapping "preload" pre with
+          | Some cls -> Some (row.l_name, cls)
+          | None -> Option.map (fun cls -> (row.l_name, cls)) (overlapping "exchange" exch))
+        rep.rows
+    in
+    match overlap with
+    | Some (name, cls) ->
+        err
+          "link %s: overlapping %s-class reservations — the fabric's \
+           serialization was not recorded faithfully"
+          name cls
+    | None -> Ok ()
+  in
+  let* () =
+    let module Cp = Elk_sim.Critpath in
+    let drift (e : Cp.event) =
+      let against cls =
+        let want =
+          Float.min (e.Cp.t_end -. e.Cp.t_start) (Nt.max_wait rep.trace ~op:e.Cp.op ~cls)
+        in
+        if rel_err e.Cp.port_wait want > drift_eps then Some (e.Cp.op, e.Cp.port_wait, want)
+        else None
+      in
+      match e.Cp.kind with
+      | Cp.Distribute -> against Nt.Distribute
+      | Cp.Exchange -> against Nt.Exchange
+      | _ -> None
+    in
+    match Option.bind rep.events (fun events -> Array.find_map drift events) with
+    | Some (op, got, want) ->
+        err
+          "op %d: Critpath port_wait %.6g s disagrees with the trace's max \
+           queueing wait %.6g s"
+          op got want
+    | None -> Ok ()
+  in
+  Report.check_tiling rep.series ~horizon:rep.total rep.series_names
 
 (* ---- tables ----------------------------------------------------------- *)
 
@@ -499,18 +463,6 @@ let tables ?(top = 10) rep =
     rep.hops;
   [ summary; links; hist ]
 
-let glyphs = [| " "; "_"; "."; ":"; "-"; "="; "+"; "*"; "#" |]
-
-let glyph_of hi v =
-  if hi <= 0. then glyphs.(0)
-  else
-    let i = int_of_float (Float.round (v /. hi *. 8.)) in
-    glyphs.(max 0 (min 8 i))
-
-let sparkline values =
-  let hi = List.fold_left Float.max 0. values in
-  String.concat "" (List.map (glyph_of hi) values)
-
 (* ASCII mesh heatmap: one cell per core, intensity = the hottest
    utilization among the links leaving that core (outgoing mesh edges,
    plus the controller entry edge where one lands).  None on
@@ -534,7 +486,7 @@ let heatmap rep =
         let lines =
           List.init rows (fun r ->
               String.concat ""
-                (List.init cols (fun c -> glyph_of hi cell.((r * cols) + c))))
+                (List.init cols (fun c -> Elk_util.Table.glyph ~peak:hi cell.((r * cols) + c))))
         in
         Some
           (Printf.sprintf
@@ -563,21 +515,15 @@ let print ?top rep =
         let vals = List.map (fun p -> p.Ts.mean) points in
         Printf.printf "%s utilization over time (%d windows, %s busy):\n  %s\n"
           hottest.l_name (List.length points) (pct hottest.l_util)
-          (sparkline vals)
+          (Elk_util.Table.sparkline vals)
       end
 
 (* ---- JSON snapshot ---------------------------------------------------- *)
 
-(* Round like the SLO snapshot so the committed file is stable under
-   float noise. *)
-let g v = J.number (float_of_string (Printf.sprintf "%.6g" v))
+let g = J.rounded
 
 let to_json ?(top = 10) rep =
-  let seg name kind dur =
-    Printf.sprintf
-      "{\"name\":%s,\"kind\":%s,\"resource\":\"interconnect\",\"dur\":%s}"
-      (J.quote name) (J.quote kind) (g dur)
-  in
+  let seg name kind dur = Report.segment ~resource:"interconnect" ~name ~kind dur in
   let segments =
     List.filteri (fun i _ -> i < top) rep.hot
     |> List.map (fun row -> seg row.l_name "link-busy" row.l_busy)
@@ -607,13 +553,8 @@ let to_json ?(top = 10) rep =
   in
   String.concat ""
     [
-      "{";
-      Printf.sprintf "\"model\":%s," (J.quote rep.model);
-      (* Tracediff-comparable core: total + segments *)
-      Printf.sprintf "\"total\":%s,\"dominant\":\"interconnect\"," (g rep.total);
-      Printf.sprintf "\"resource_seconds\":{\"interconnect\":%s},"
-        (g busy_total);
-      Printf.sprintf "\"segments\":[%s]," (String.concat "," segments);
+      Report.tracediff_head ~model:rep.model ~total:rep.total ~resource:"interconnect"
+        ~seconds:busy_total segments;
       (* Full interconnect payload *)
       Printf.sprintf "\"topology\":%s,\"links_touched\":%d,\"transfers\":%d,"
         (J.quote rep.topology) (List.length rep.rows)
@@ -643,3 +584,28 @@ let chrome_counter_events rep =
     (fun name ->
       Ts.chrome_counter_events rep.series ~horizon:rep.total ~pid:noc_pid name)
     rep.series_names
+
+(* ---- report skeleton -------------------------------------------------- *)
+
+let report ?top rep =
+  {
+    Report.what = "interconnect report";
+    check = Result.map_error (fun m -> "interconnect invariant violated: " ^ m) (check rep);
+    warnings = [];
+    print = (fun () -> print ?top rep);
+    to_json = (fun () -> to_json ?top rep);
+    trace_events = (fun () -> chrome_counter_events rep);
+    gauges =
+      (match rep.busiest_dyn with
+      | Some (_, busy) ->
+          [
+            ( "elk_noc_busiest_link_busy_seconds",
+              "Reservation time on the hottest interconnect link", busy );
+          ]
+      | None -> [])
+      @ [
+          ( "elk_noc_transfer_bytes", "Bytes moved over the interconnect, once per transfer",
+            rep.pre_bytes +. rep.dist_bytes +. rep.ex_bytes );
+          ("elk_noc_mean_hops", "Byte-weighted mean route length", rep.mean_hops);
+        ];
+  }

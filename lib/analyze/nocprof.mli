@@ -110,3 +110,7 @@ val chrome_counter_events : report -> string list
 (** Per-link utilization gauges and the busy-link count as Perfetto
     counter tracks under {!noc_pid}, for embedding beside the device
     timeline. *)
+
+val report : ?top:int -> report -> Report.t
+(** [elk noc]: {!check}ed, with the utilization counter tracks and the
+    busiest-link / transfer-volume / mean-hops gauges. *)

@@ -173,12 +173,14 @@ let digest_strings parts =
 
 (* ------------------------------------------------------------------ *)
 (* On-disk store: one file per whole-plan key under
-   ELK_COMPILE_CACHE_DIR.  Entries are Marshal blobs prefixed by a
-   format version and an echo of the key; any mismatch or exception
-   reads as a miss.  Writes go through a temp file + rename so a
-   concurrent reader never sees a torn entry.                          *)
+   ELK_COMPILE_CACHE_DIR.  An entry is three text lines — format
+   version, an echo of the key, the MD5 of the payload — followed by the
+   Marshal payload.  Unmarshalling corrupt bytes can crash the process,
+   so the payload is only unmarshalled once its digest matches; any
+   mismatch, short file or exception reads as a miss.  Writes go through
+   a temp file + rename so a concurrent reader never sees a torn entry. *)
 
-let disk_version = "elk-compile-cache-1"
+let disk_version = "elk-compile-cache-2"
 
 let disk_dir () =
   match Sys.getenv_opt "ELK_COMPILE_CACHE_DIR" with
@@ -191,16 +193,18 @@ let disk_find ~key =
   match disk_dir () with
   | None -> None
   | Some dir -> (
-      let path = disk_path dir key in
       try
-        let ic = open_in_bin path in
+        let ic = open_in_bin (disk_path dir key) in
         Fun.protect
           ~finally:(fun () -> close_in_noerr ic)
           (fun () ->
-            let ver : string = Marshal.from_channel ic in
-            let k : string = Marshal.from_channel ic in
-            if ver <> disk_version || k <> key then None
-            else Some (Marshal.from_channel ic))
+            let ver = input_line ic in
+            let k = input_line ic in
+            let digest = input_line ic in
+            let payload = really_input_string ic (in_channel_length ic - pos_in ic) in
+            if ver <> disk_version || k <> key || digest <> Digest.to_hex (Digest.string payload)
+            then None
+            else Some (Marshal.from_string payload 0))
       with _ -> None)
 
 let disk_store ~key v =
@@ -211,13 +215,14 @@ let disk_store ~key v =
         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
         let path = disk_path dir key in
         let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
+        let payload = Marshal.to_string v [] in
         let oc = open_out_bin tmp in
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () ->
-            Marshal.to_channel oc disk_version [];
-            Marshal.to_channel oc key [];
-            Marshal.to_channel oc v []);
+            List.iter (fun line -> output_string oc (line ^ "\n"))
+              [ disk_version; key; Digest.to_hex (Digest.string payload) ];
+            output_string oc payload);
         Sys.rename tmp path
       with _ -> ())
 

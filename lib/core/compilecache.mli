@@ -92,8 +92,10 @@ val digest_strings : string list -> string
 (** {1 On-disk store}
 
     Active only when [ELK_COMPILE_CACHE_DIR] is set.  One file per
-    whole-plan key; entries carry a format version and a key echo, and
-    any mismatch, short read, or exception degrades to a miss.  Writes
+    whole-plan key; entries carry a format version, a key echo and a
+    digest of the payload, which is unmarshalled only when the digest
+    matches.  Any mismatch, short read, or exception degrades to a
+    miss.  Writes
     are atomic (temp file + rename).  Values round-trip through
     [Marshal]; callers must store only plain data and re-derive anything
     cheap (timelines, programs) after a hit. *)

@@ -27,20 +27,6 @@ type result = {
   per_op : op_times array;
 }
 
-(* Measure of the union of a set of closed intervals. *)
-let union_measure intervals =
-  let sorted = List.sort compare (List.filter (fun (a, b) -> b > a) intervals) in
-  let rec go acc cur = function
-    | [] -> ( match cur with None -> acc | Some (a, b) -> acc +. (b -. a))
-    | (a, b) :: rest -> (
-        match cur with
-        | None -> go acc (Some (a, b)) rest
-        | Some (ca, cb) ->
-            if a <= cb then go acc (Some (ca, Float.max cb b)) rest
-            else go (acc +. (cb -. ca)) (Some (a, b)) rest)
-  in
-  go 0. None sorted
-
 (* Measure of the intersection of two interval unions (both lists may
    overlap internally; we clip each pair). *)
 let intersection_measure xs ys =
@@ -54,7 +40,7 @@ let intersection_measure xs ys =
           ys)
       xs
   in
-  union_measure pieces
+  Elk_util.Series.union_measure pieces
 
 let evaluate ctx (s : Schedule.t) =
   (match Schedule.validate s with
@@ -132,8 +118,8 @@ let evaluate ctx (s : Schedule.t) =
   let total = exe_end.(n - 1) in
   let pre_intervals = Array.to_list (Array.init n (fun o -> (pre_start.(o), pre_end.(o)))) in
   let exe_intervals = Array.to_list (Array.init n (fun o -> (exe_start.(o), exe_end.(o)))) in
-  let pre_m = union_measure pre_intervals in
-  let exe_m = union_measure exe_intervals in
+  let pre_m = Elk_util.Series.union_measure pre_intervals in
+  let exe_m = Elk_util.Series.union_measure exe_intervals in
   let both = intersection_measure pre_intervals exe_intervals in
   let bd =
     {

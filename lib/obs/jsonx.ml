@@ -23,6 +23,8 @@ let number f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.12g" f
 
+let rounded f = number (float_of_string (Printf.sprintf "%.6g" f))
+
 (* ---- Parsing -------------------------------------------------------- *)
 
 type value =

@@ -20,6 +20,11 @@ val number : float -> string
     others with round-trip precision.  Non-finite values (which JSON
     cannot represent) render as [null]. *)
 
+val rounded : float -> string
+(** {!number} of the value rounded to 6 significant digits: the
+    precision committed snapshots use, so they stay stable under float
+    noise. *)
+
 (** {1 Parsing}
 
     A minimal JSON document model and recursive-descent parser, enough

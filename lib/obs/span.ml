@@ -72,6 +72,12 @@ let totals () =
   |> List.sort compare
   |> List.map (fun (_, name, c, tot) -> (name, c, tot))
 
+let wall name =
+  List.filter_map
+    (fun s -> if s.name = name then Some (s.start, s.start +. s.dur) else None)
+    (spans ())
+  |> Elk_util.Series.union_measure
+
 let chrome_events ?(pid = 1) ?(tid = 3) () =
   match spans () with
   | [] -> []

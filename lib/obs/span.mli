@@ -39,6 +39,12 @@ val totals : unit -> (string * int * float) list
     ordered by each name's first start time — i.e. phase order for a
     deterministic program. *)
 
+val wall : string -> float
+(** Wall-clock seconds covered by the named spans: the measure of the
+    union of their intervals.  Unlike the [total_seconds] of {!totals},
+    spans that ran at once on several domains count once, so a phase's
+    wall time never exceeds that of a span enclosing all of it. *)
+
 val chrome_events : ?pid:int -> ?tid:int -> unit -> string list
 (** Rendered Chrome-trace events for every completed span, preceded by
     one thread_name metadata event per recording domain; timestamps are

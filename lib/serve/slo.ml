@@ -113,9 +113,7 @@ let of_result ?slo_ttft ?slo_itl ?window ?mem ?noc ~workload ~seed
 
 (* ---- JSON snapshot ---------------------------------------------------- *)
 
-(* Round to keep snapshots stable under float noise, like the committed
-   bench tables. *)
-let g v = J.number (float_of_string (Printf.sprintf "%.6g" v))
+let g = J.rounded
 
 let pct_segments name p =
   List.map
@@ -170,18 +168,6 @@ let to_json rp =
 
 let ms v = Printf.sprintf "%.2f ms" (1e3 *. v)
 
-let sparkline values =
-  let glyphs = [| " "; "_"; "."; ":"; "-"; "="; "+"; "*"; "#" |] in
-  let hi = List.fold_left Float.max 0. values in
-  if hi <= 0. then String.concat "" (List.map (fun _ -> glyphs.(0)) values)
-  else
-    String.concat ""
-      (List.map
-         (fun v ->
-           let i = int_of_float (Float.round (v /. hi *. 8.)) in
-           glyphs.(max 0 (min 8 i)))
-         values)
-
 let print rp =
   Printf.printf "serving SLO report: %s workload, seed %d\n" rp.workload rp.seed;
   Printf.printf
@@ -215,5 +201,5 @@ let print rp =
       (List.length points)
       (float_of_string
          (Printf.sprintf "%.3g" (Elk_obs.Timeseries.window rp.series)))
-      (sparkline vals)
+      (Elk_util.Table.sparkline vals)
   end

@@ -27,6 +27,82 @@ type event = {
   port_wait : float;
 }
 
+(* ---- recording -------------------------------------------------------- *)
+
+(* The DAG builder behind [Sim.run ~events:true]: one event per simulated
+   activity, with its causal parent resolved from the gate times the
+   probe reports (state of the event loop before the activity ran). *)
+type recorder = {
+  mutable log : event list;  (* reverse emission order *)
+  mutable n_events : int;
+  mutable last_exec : int;  (* last execute-chain event id, -1 if none *)
+  mutable last_pre : int;  (* last preload-chain event id, -1 if none *)
+  pre_done : int array;  (* per-op id of the preload's final event *)
+}
+
+let recorder ~ops =
+  { log = []; n_events = 0; last_exec = -1; last_pre = -1; pre_done = Array.make ops (-1) }
+
+let emit rc ~op ~kind ~t_start ~t_end ~parent ~deps ~port_wait =
+  let id = rc.n_events in
+  rc.n_events <- id + 1;
+  rc.log <-
+    {
+      id; op; kind; t_start; t_end;
+      parent = (if parent < 0 then None else Some parent);
+      deps = List.sort_uniq compare (List.filter (fun d -> d >= 0) deps);
+      port_wait;
+    }
+    :: rc.log;
+  id
+
+(* The causal parent of a gate [max a b]: the argument that bound it.
+   Ties go to [on_b] (callers pass the data-dependency side there). *)
+let binding ~a ~on_a ~b ~on_b = if on_b < 0 || (a > b && on_a >= 0) then on_a else on_b
+
+let on_preload rc
+    { Probe.p_op = op; p_exec_ready; p_pre_ready; p_gate; p_reads_hbm; p_hbm_done;
+      p_finish; p_port_wait; _ } =
+  (* Ties go to the preload chain: rule 2 is the tighter sequencing
+     constraint at equal times. *)
+  let parent = binding ~a:p_exec_ready ~on_a:rc.last_exec ~b:p_pre_ready ~on_b:rc.last_pre in
+  let deps = [ rc.last_exec; rc.last_pre ] in
+  let last =
+    if not p_reads_hbm then
+      emit rc ~op ~kind:Preload_issue ~t_start:p_gate ~t_end:p_gate ~parent ~deps ~port_wait:0.
+    else
+      let read =
+        emit rc ~op ~kind:Hbm_read ~t_start:p_gate ~t_end:p_hbm_done ~parent ~deps ~port_wait:0.
+      in
+      emit rc ~op ~kind:Preload_deliver ~t_start:p_hbm_done
+        ~t_end:(Float.max p_hbm_done p_finish) ~parent:read ~deps:[ read ]
+        ~port_wait:p_port_wait
+  in
+  rc.pre_done.(op) <- last;
+  rc.last_pre <- last
+
+let on_execute rc
+    { Probe.e_op = op; e_prev_ready; e_pre_end; e_start; e_dist_end; e_compute_end; e_end;
+      e_dist_wait; e_ex_wait; _ } =
+  (* Ties go to the preload side: at equal times the data dependency
+     (§4.5 rule 3) is the enabling completion. *)
+  let pre = rc.pre_done.(op) in
+  let parent = binding ~a:e_prev_ready ~on_a:rc.last_exec ~b:e_pre_end ~on_b:pre in
+  let dist =
+    emit rc ~op ~kind:Distribute ~t_start:e_start ~t_end:e_dist_end ~parent
+      ~deps:[ rc.last_exec; pre ] ~port_wait:e_dist_wait
+  in
+  let comp =
+    emit rc ~op ~kind:Tile_compute ~t_start:e_dist_end ~t_end:e_compute_end ~parent:dist
+      ~deps:[ dist ] ~port_wait:0.
+  in
+  rc.last_exec <-
+    emit rc ~op ~kind:Exchange ~t_start:e_compute_end ~t_end:e_end ~parent:comp ~deps:[ comp ]
+      ~port_wait:e_ex_wait
+
+let probe rc = Probe.ops ~preload:(on_preload rc) ~execute:(on_execute rc)
+let recorded rc = Array.of_list (List.rev rc.log)
+
 type resource = Hbm | Interconnect | Compute | Port | Wait
 
 let resource_name = function
@@ -186,9 +262,7 @@ let extract events =
   { total; events; crit_ids = !crit; segments; slack; op_slack; op_crit;
     resource_seconds }
 
-let rel_err a b =
-  let scale = Float.max (Float.abs a) (Float.abs b) in
-  if scale <= 0. then 0. else Float.abs (a -. b) /. scale
+let rel_err = Elk_util.Stats.rel_err
 
 let check events ~total =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in

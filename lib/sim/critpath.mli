@@ -63,6 +63,18 @@ type event = {
           link/port before moving bytes). *)
 }
 
+type recorder
+(** The event-DAG builder behind [Sim.run ~events:true]. *)
+
+val recorder : ops:int -> recorder
+val probe : recorder -> Probe.t
+(** Emits one event per preload phase (HBM read + delivery, or a
+    zero-byte issue point) and three per execute (distribute, compute,
+    exchange), each with its causal parent. *)
+
+val recorded : recorder -> event array
+(** The events recorded so far, in emission (= id) order. *)
+
 val reaches : event array -> src:int -> dst:int -> bool
 (** Is there a chain of gating ([deps]) edges from event [src] to event
     [dst]?  Used by the lint cross-check: a statically flagged race pair

@@ -7,7 +7,7 @@
    (per-core occupancy change points, high-water marks, chip
    aggregates, wasted residency) is derived on demand from those
    records, so recording itself is a handful of float stores per
-   operator and, like Critpath event recording, is pure bookkeeping:
+   operator and, like every Probe, is pure bookkeeping:
    nothing here is ever read back into a timing computation.
 
    Core layout mirrors the device model: preload buffers land on every
@@ -51,19 +51,20 @@ let cores t = t.cores
 let num_ops t = Array.length t.ops
 let op_mem t op = t.ops.(op)
 
-let record_preload t ~op ~reserve ~deliver ~bytes =
-  let m = t.ops.(op) in
-  m.m_reserve <- reserve;
-  m.m_deliver <- deliver;
-  m.m_preload_bytes <- bytes
-
-let record_execute t ~op ~first_use ~tail_start ~release ~bytes ~cores =
-  let m = t.ops.(op) in
-  m.m_first_use <- first_use;
-  m.m_tail_start <- tail_start;
-  m.m_release <- release;
-  m.m_exec_bytes <- bytes;
-  m.m_exec_cores <- cores
+let probe t =
+  Probe.ops
+    ~preload:(fun p ->
+      let m = t.ops.(p.Probe.p_op) in
+      m.m_reserve <- p.Probe.p_gate;
+      m.m_deliver <- p.Probe.p_finish;
+      m.m_preload_bytes <- p.Probe.p_bytes)
+    ~execute:(fun e ->
+      let m = t.ops.(e.Probe.e_op) in
+      m.m_first_use <- e.Probe.e_start;
+      m.m_tail_start <- e.Probe.e_compute_end;
+      m.m_release <- e.Probe.e_end;
+      m.m_exec_bytes <- e.Probe.e_bytes;
+      m.m_exec_cores <- e.Probe.e_cores)
 
 (* ---- derived samples -------------------------------------------------- *)
 

@@ -5,8 +5,8 @@
     use (execute start) and release (execute end) — plus the byte sizes
     the schedule fixed.  Per-core occupancy timelines, high-water marks
     and wasted-residency integrals are all derived on demand, so
-    recording is a handful of float stores per operator; like
-    {!Critpath} event recording it is pure bookkeeping, never read back
+    recording is a handful of float stores per operator; like every
+    {!Probe} it is pure bookkeeping, never read back
     into any timing computation (the cram suite checks simulated output
     is byte-identical with recording on and off).
 
@@ -32,18 +32,9 @@ val cores : t -> int
 val num_ops : t -> int
 val op_mem : t -> int -> op_mem
 
-val record_preload :
-  t -> op:int -> reserve:float -> deliver:float -> bytes:float -> unit
-
-val record_execute :
-  t ->
-  op:int ->
-  first_use:float ->
-  tail_start:float ->
-  release:float ->
-  bytes:float ->
-  cores:int ->
-  unit
+val probe : t -> Probe.t
+(** Records each preload's reserve/delivery and each execute's
+    first use, compute end and release. *)
 
 type change =
   | Reserve  (** preload bytes reserved at the issue gate. *)

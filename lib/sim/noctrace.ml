@@ -8,70 +8,44 @@
    op, src, dst, bytes, hops, queueing wait, envelope).  Everything else
    (per-link volumes and busy time, class breakdowns, hop histograms,
    utilization timelines) is derived on demand from those records, so
-   recording itself is a list cons per booking and, like Critpath and
-   Memtrace recording, is pure bookkeeping: nothing here is ever read
-   back into a timing computation (the cram suite checks simulated
-   output is byte-identical with recording on and off). *)
+   recording itself is a list cons per booking and, like every Probe,
+   is pure bookkeeping: nothing here is ever read back into a timing
+   computation (the cram suite checks simulated output is
+   byte-identical with recording on and off). *)
 
 module N = Elk_noc.Noc
 
-(* The three communication phases of the device program.  Preload is
-   the pre_fabric class; Distribute and Exchange share the fg_fabric
-   class (the execution share of each link). *)
-type cls = Preload | Distribute | Exchange
+type cls = Probe.cls = Preload | Distribute | Exchange
+type booking = Probe.booking
+type transfer = Probe.transfer
 
-let cls_name = function
-  | Preload -> "preload"
-  | Distribute -> "distribute"
-  | Exchange -> "exchange"
-
-type booking = {
-  b_cls : cls;
-  b_op : int;
-  b_link : N.link;
-  b_bytes : float;
-  b_start : float;  (* when the reservation begins occupying the link *)
-  b_end : float;  (* when the link frees (bytes / effective bandwidth) *)
-}
-
-type transfer = {
-  t_cls : cls;
-  t_op : int;
-  t_src : N.node;
-  t_dst : N.node;
-  t_bytes : float;
-  t_hops : int;  (* links traversed = List.length route *)
-  t_wait : float;  (* queueing delay: booked start - requested start *)
-  t_start : float;  (* when the bytes begin moving *)
-  t_end : float;  (* completion (latency + bottleneck service) *)
-}
+open Probe
 
 type t = {
   noc : N.t;
   mutable bookings : booking list;  (* reverse emission order *)
   mutable transfers : transfer list;  (* reverse emission order *)
-  mutable n_bookings : int;
   mutable n_transfers : int;
 }
 
-let create noc = { noc; bookings = []; transfers = []; n_bookings = 0; n_transfers = 0 }
+let create noc = { noc; bookings = []; transfers = []; n_transfers = 0 }
 let noc t = t.noc
-let num_bookings t = t.n_bookings
 let num_transfers t = t.n_transfers
 
-let record_booking t ~cls ~op ~link ~bytes ~t_start ~t_end =
-  t.bookings <-
-    { b_cls = cls; b_op = op; b_link = link; b_bytes = bytes;
-      b_start = t_start; b_end = t_end }
-    :: t.bookings;
-  t.n_bookings <- t.n_bookings + 1
-
-let record_transfer t ~cls ~op ~src ~dst ~bytes ~hops ~wait ~t_start ~t_end =
-  t.transfers <-
-    { t_cls = cls; t_op = op; t_src = src; t_dst = dst; t_bytes = bytes;
-      t_hops = hops; t_wait = wait; t_start = t_start; t_end = t_end }
-    :: t.transfers;
-  t.n_transfers <- t.n_transfers + 1
+let probe t =
+  {
+    preload = ignore;
+    execute = ignore;
+    links =
+      Some
+        {
+          booking = (fun b -> t.bookings <- b :: t.bookings);
+          transfer =
+            (fun tr ->
+              t.transfers <- tr :: t.transfers;
+              t.n_transfers <- t.n_transfers + 1);
+        };
+  }
 
 (* ---- derived views ---------------------------------------------------- *)
 

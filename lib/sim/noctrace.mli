@@ -1,74 +1,27 @@
 (** Dynamic per-link interconnect recording for the simulator.
 
-    When enabled ([Sim.run ~noc:true] or [ELK_SIM_NOC=1]), every link
-    reservation the two fluid fabrics make is mirrored here as a
-    booking — (traffic class, operator, link, bytes, busy interval) —
-    and every transfer as a route record — (class, operator, src, dst,
-    bytes, hops, queueing wait, envelope).  Per-link volumes, class
-    breakdowns, busy intervals, hop histograms and utilization
-    timelines are all derived on demand, so recording is a list cons
-    per booking; like {!Critpath} and {!Memtrace} recording it is pure
-    bookkeeping, never read back into any timing computation (the cram
-    suite checks simulated output is byte-identical with recording on
-    and off). *)
+    When enabled ([Sim.run ~noc:true]), every link reservation the two
+    fluid fabrics make is mirrored here as a booking — (traffic class,
+    operator, link, bytes, busy interval) — and every transfer as a
+    route record — (class, operator, src, dst, bytes, hops, queueing
+    wait, envelope).  Per-link volumes, class breakdowns, busy
+    intervals, hop histograms and utilization timelines are all derived
+    on demand, so recording is a list cons per booking; like every
+    {!Probe} it is pure bookkeeping, never read back into any timing
+    computation (the cram suite checks simulated output is
+    byte-identical with recording on and off). *)
 
-(** The communication phase a booking belongs to.  [Preload] is the
-    preload fabric's fluid share; [Distribute] and [Exchange] run in
-    the execution share. *)
-type cls = Preload | Distribute | Exchange
-
-val cls_name : cls -> string
-
-type booking = {
-  b_cls : cls;
-  b_op : int;
-  b_link : Elk_noc.Noc.link;
-  b_bytes : float;
-  b_start : float;  (** reservation begins occupying the link. *)
-  b_end : float;  (** link frees: bytes over the class's fluid share. *)
-}
-
-type transfer = {
-  t_cls : cls;
-  t_op : int;
-  t_src : Elk_noc.Noc.node;
-  t_dst : Elk_noc.Noc.node;
-  t_bytes : float;
-  t_hops : int;  (** links traversed = route length. *)
-  t_wait : float;  (** queueing delay: booked start - requested start. *)
-  t_start : float;
-  t_end : float;  (** completion: latency + bottleneck service. *)
-}
-
+type cls = Probe.cls = Preload | Distribute | Exchange
+type booking = Probe.booking
+type transfer = Probe.transfer
 type t
 
 val create : Elk_noc.Noc.t -> t
 val noc : t -> Elk_noc.Noc.t
-val num_bookings : t -> int
 val num_transfers : t -> int
 
-val record_booking :
-  t ->
-  cls:cls ->
-  op:int ->
-  link:Elk_noc.Noc.link ->
-  bytes:float ->
-  t_start:float ->
-  t_end:float ->
-  unit
-
-val record_transfer :
-  t ->
-  cls:cls ->
-  op:int ->
-  src:Elk_noc.Noc.node ->
-  dst:Elk_noc.Noc.node ->
-  bytes:float ->
-  hops:int ->
-  wait:float ->
-  t_start:float ->
-  t_end:float ->
-  unit
+val probe : t -> Probe.t
+(** Records every link booking and transfer the event loop emits. *)
 
 val bookings : t -> booking array
 (** Emission order (simulation order). *)

@@ -56,9 +56,7 @@ let imbalance t =
     if mean <= 0. then 0. else !mx /. mean
   end
 
-let rel_err a b =
-  let scale = Float.max (Float.abs a) (Float.abs b) in
-  if scale <= 0. then 0. else Float.abs (a -. b) /. scale
+let rel_err = Elk_util.Stats.rel_err
 
 let check t ~total =
   let bad_core = ref None in

@@ -110,10 +110,10 @@ let effective_bw f l =
   | N.Port_out (N.Hbm _) -> bw (* controller ports carry only preload traffic *)
   | _ -> bw *. f.share
 
-(* Returns (completion_time, queuing_delay).  [tr] mirrors the exact
-   per-link reservations (and the transfer envelope) into a Noctrace
-   record — pure bookkeeping, never read back into timing. *)
-let transfer ?tr f ~src ~dst ~bytes ~not_before =
+(* Returns (completion_time, queuing_delay).  Every link reservation
+   and the transfer envelope go to the active [links] probes under
+   [cls]. *)
+let transfer ~links ~cls ~op f ~src ~dst ~bytes ~not_before =
   if src = dst || bytes <= 0. then (not_before, 0.)
   else begin
     let route = N.route f.noc ~src ~dst in
@@ -133,17 +133,19 @@ let transfer ?tr f ~src ~dst ~bytes ~not_before =
       route;
     let latency = N.route_latency f.noc ~src ~dst in
     let finish = start +. latency +. (bytes /. bottleneck) in
-    (match tr with
-    | None -> ()
-    | Some (nt, cls, op) ->
+    (match links with
+    | [] -> ()
+    | _ ->
         List.iter
           (fun l ->
-            Noctrace.record_booking nt ~cls ~op ~link:l ~bytes ~t_start:start
-              ~t_end:(start +. (bytes /. effective_bw f l)))
+            Probe.emit_booking links
+              { Probe.b_cls = cls; b_op = op; b_link = l; b_bytes = bytes;
+                b_start = start; b_end = start +. (bytes /. effective_bw f l) })
           route;
-        Noctrace.record_transfer nt ~cls ~op ~src ~dst ~bytes
-          ~hops:(List.length route) ~wait:(start -. not_before) ~t_start:start
-          ~t_end:finish);
+        Probe.emit_transfer links
+          { Probe.t_cls = cls; t_op = op; t_src = src; t_dst = dst; t_bytes = bytes;
+            t_hops = List.length route; t_wait = start -. not_before;
+            t_start = start; t_end = finish });
     (finish, start -. not_before)
   end
 
@@ -166,55 +168,12 @@ let core_skew ~skew core op_id =
   let h = Hashtbl.hash (core, op_id, "skew") land 0xFFFF in
   1. -. skew +. (2. *. skew *. (float_of_int h /. 65535.))
 
-(* Causal event recording (Critpath).  Pure bookkeeping appended beside
-   the flow model: recording never reads back into any timing
-   computation, so timelines are identical whether it is on or off (the
-   cram suite checks this byte-for-byte).  Off by default; [ELK_SIM_EVENTS]
-   forces it on for a whole process. *)
-let default_events =
-  match Sys.getenv_opt "ELK_SIM_EVENTS" with
-  | Some ("1" | "true" | "on" | "yes") -> true
-  | _ -> false
+(* Floats passed to a call once per core are bound boxed, once: the
+   compiler would otherwise keep them unboxed and box them again at
+   every call. *)
+let boxed (x : float) = Sys.opaque_identity x
 
-(* SRAM-residency recording (Memtrace) follows the same contract:
-   off by default, zero work when off, never read back into timing. *)
-let default_mem =
-  match Sys.getenv_opt "ELK_SIM_MEM" with
-  | Some ("1" | "true" | "on" | "yes") -> true
-  | _ -> false
-
-(* Per-link interconnect recording (Noctrace): same contract again. *)
-let default_noc =
-  match Sys.getenv_opt "ELK_SIM_NOC" with
-  | Some ("1" | "true" | "on" | "yes") -> true
-  | _ -> false
-
-type recorder = {
-  mutable log : Critpath.event list;  (* reverse emission order *)
-  mutable n_events : int;
-  mutable last_exec : int;  (* last execute-chain event id, -1 if none *)
-  mutable last_pre : int;  (* last preload-chain event id, -1 if none *)
-  pre_done : int array;  (* per-op id of the preload's final event *)
-}
-
-let emit rc ~op ~kind ~t_start ~t_end ~parent ~deps ~port_wait =
-  let id = rc.n_events in
-  rc.n_events <- id + 1;
-  rc.log <-
-    {
-      Critpath.id; op; kind; t_start; t_end;
-      parent = (if parent < 0 then None else Some parent);
-      deps = List.sort_uniq compare (List.filter (fun d -> d >= 0) deps);
-      port_wait;
-    }
-    :: rc.log;
-  id
-
-(* The causal parent of a gate [max a b]: the argument that bound it.
-   Ties go to [on_b] (callers pass the data-dependency side there). *)
-let binding ~a ~on_a ~b ~on_b = if on_b < 0 || (a > b && on_a >= 0) then on_a else on_b
-
-let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
+let run_impl ~skew ~events ~mem ~noc:record_noc ctx (s : Elk.Schedule.t) =
   (match Elk.Schedule.validate s with
   | Ok () -> ()
   | Error m -> invalid_arg ("Sim.run: invalid schedule: " ^ m));
@@ -251,21 +210,18 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
      model — recorded into the metrics registry only when enabled. *)
   let pending = ref 0 and max_pending = ref 0 in
   let hbm_busy = ref 0. and preload_wait = ref 0. in
-  let rc =
-    if record then
-      Some { log = []; n_events = 0; last_exec = -1; last_pre = -1;
-             pre_done = Array.make n (-1) }
-    else None
+  (* The active recorders, and those of them that record the
+     interconnect.  Every emission below is guarded by one empty-list
+     check, so a plain run builds no probe event. *)
+  let cp = if events then Some (Critpath.recorder ~ops:n) else None in
+  let mt = if mem then Some (Memtrace.create ~cores:chip.Arch.cores ~ops:n) else None in
+  let nt = if record_noc then Some (Noctrace.create noc) else None in
+  let probes =
+    List.filter_map Fun.id
+      [ Option.map Critpath.probe cp; Option.map Memtrace.probe mt;
+        Option.map Noctrace.probe nt ]
   in
-  let mrec =
-    if record_mem then Some (Memtrace.create ~cores:chip.Arch.cores ~ops:n)
-    else None
-  in
-  let nrec = if record_noc then Some (Noctrace.create noc) else None in
-  (* Tag for [transfer]'s recording hook: (recorder, class, op). *)
-  let ntag cls op =
-    match nrec with Some nt -> Some (nt, cls, op) | None -> None
-  in
+  let links = List.filter_map (fun p -> p.Probe.links) probes in
   let cores_of plan = plan.P.cores_used in
   Array.iter
     (fun instr ->
@@ -277,159 +233,121 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
           if !pending > !max_pending then max_pending := !pending;
           (* Rule (1): every execute issued earlier blocks this preload;
              rule (2): preloads are sequential. *)
-          let gate = Float.max !exec_ready !preload_free in
-          (* Causal parent of the gate, resolved before any state below
-             mutates: ties go to the preload chain (rule 2 is the tighter
-             sequencing constraint at equal times). *)
-          let pre_parent =
-            match rc with
-            | Some rc ->
-                binding ~a:!exec_ready ~on_a:rc.last_exec ~b:!preload_free
-                  ~on_b:rc.last_pre
-            | None -> -1
-          in
-          if popt.P.hbm_device_bytes <= 0. then begin
-            pre_start.(op) <- gate;
-            pre_end.(op) <- gate;
-            preload_free := gate;
-            Option.iter
-              (fun m ->
-                Memtrace.record_preload m ~op ~reserve:gate ~deliver:gate
-                  ~bytes:popt.P.preload_space)
-              mrec;
-            Option.iter
-              (fun rc ->
-                let id =
-                  emit rc ~op ~kind:Critpath.Preload_issue ~t_start:gate ~t_end:gate
-                    ~parent:pre_parent ~deps:[ rc.last_exec; rc.last_pre ]
-                    ~port_wait:0.
-                in
-                rc.pre_done.(op) <- id;
-                rc.last_pre <- id)
-              rc
-          end
-          else begin
-            let hbm_done =
-              Elk_hbm.Hbm.read hbm_dev ~now:gate ~offset:offsets.(op)
-                ~bytes:popt.P.hbm_device_bytes
-            in
-            hbm_busy := !hbm_busy +. (hbm_done -. gate);
-            pre_hbm.(op) <- hbm_done -. gate;
-            if hbm_done > gate then
-              Elk_util.Series.add perf.Perfcore.hbm_series ~t_start:gate
-                ~t_end:hbm_done ~volume:popt.P.hbm_device_bytes;
-            (* Controllers stream to every core in parallel; each core
-               receives its preload-space bytes through its own port.  On
-               the all-to-all fabric the delivery is a fluid broadcast:
-               each controller pushes its cores' chunks simultaneously, so
-               the phase takes the max of the controller service time and
-               the per-core inbound time.  On the mesh each core's chunk
-               is routed hop by hop and aggregation on shared edges is
-               captured by per-transfer bookings. *)
-            let per_core = popt.P.noc_inject_bytes /. float_of_int chip.Arch.cores in
-            let finish = ref hbm_done in
-            let ideal = ref 0. in
-            (match chip.Arch.topology with
-            | Arch.All_to_all ->
-                let nctrl = chip.Arch.hbm_controllers in
-                for h = 0 to nctrl - 1 do
-                  let ctrl_cores = (chip.Arch.cores + nctrl - 1 - h) / nctrl in
-                  let ctrl_volume = per_core *. float_of_int ctrl_cores in
-                  let out = link_free pre_fabric (N.Port_out (N.Hbm h)) in
-                  let start = Float.max gate !out in
-                  let ctrl_service =
-                    ctrl_volume /. effective_bw pre_fabric (N.Port_out (N.Hbm h))
-                  in
-                  let inbound =
-                    per_core /. effective_bw pre_fabric (N.Port_in (N.Core h))
-                  in
-                  out := start +. ctrl_service;
-                  if per_core > 0. then
-                    Option.iter
-                      (fun nt ->
-                        Noctrace.record_booking nt ~cls:Noctrace.Preload ~op
-                          ~link:(N.Port_out (N.Hbm h)) ~bytes:ctrl_volume
-                          ~t_start:start ~t_end:(start +. ctrl_service))
-                      nrec;
+          let gate = boxed (Float.max !exec_ready !preload_free) in
+          let pre_ready = !preload_free in
+          let reads_hbm = popt.P.hbm_device_bytes > 0. in
+          let hbm_done, finish, port_wait =
+            if not reads_hbm then (gate, gate, 0.)
+            else begin
+              let hbm_done =
+                Elk_hbm.Hbm.read hbm_dev ~now:gate ~offset:offsets.(op)
+                  ~bytes:popt.P.hbm_device_bytes
+              in
+              hbm_busy := !hbm_busy +. (hbm_done -. gate);
+              pre_hbm.(op) <- hbm_done -. gate;
+              if hbm_done > gate then
+                Elk_util.Series.add perf.Perfcore.hbm_series ~t_start:gate
+                  ~t_end:hbm_done ~volume:popt.P.hbm_device_bytes;
+              (* Controllers stream to every core in parallel; each core
+                 receives its preload-space bytes through its own port.  On
+                 the all-to-all fabric the delivery is a fluid broadcast:
+                 each controller pushes its cores' chunks simultaneously, so
+                 the phase takes the max of the controller service time and
+                 the per-core inbound time.  On the mesh each core's chunk
+                 is routed hop by hop and aggregation on shared edges is
+                 captured by per-transfer bookings. *)
+              let per_core = boxed (popt.P.noc_inject_bytes /. float_of_int chip.Arch.cores) in
+              let finish = ref hbm_done in
+              let ideal = ref 0. in
+              (match chip.Arch.topology with
+              | Arch.All_to_all ->
+                  let nctrl = chip.Arch.hbm_controllers in
+                  for h = 0 to nctrl - 1 do
+                    let ctrl_cores = (chip.Arch.cores + nctrl - 1 - h) / nctrl in
+                    let ctrl_volume = per_core *. float_of_int ctrl_cores in
+                    let out = link_free pre_fabric (N.Port_out (N.Hbm h)) in
+                    let start = Float.max gate !out in
+                    let ctrl_service =
+                      ctrl_volume /. effective_bw pre_fabric (N.Port_out (N.Hbm h))
+                    in
+                    let inbound =
+                      per_core /. effective_bw pre_fabric (N.Port_in (N.Core h))
+                    in
+                    out := start +. ctrl_service;
+                    let record =
+                      per_core > 0. && match links with [] -> false | _ -> true
+                    in
+                    if record then
+                      Probe.emit_booking links
+                        { Probe.b_cls = Probe.Preload; b_op = op;
+                          b_link = N.Port_out (N.Hbm h); b_bytes = ctrl_volume;
+                          b_start = start; b_end = start +. ctrl_service };
+                    for c = 0 to chip.Arch.cores - 1 do
+                      if c mod nctrl = h then begin
+                        let inp = link_free pre_fabric (N.Port_in (N.Core c)) in
+                        let s = Float.max start !inp in
+                        inp := s +. inbound;
+                        pre_fabric.link_volume <- pre_fabric.link_volume +. per_core;
+                        let done_c =
+                          s +. Float.max inbound ctrl_service
+                          +. chip.Arch.intercore_link.Arch.latency
+                        in
+                        if record then begin
+                          Probe.emit_booking links
+                            { Probe.b_cls = Probe.Preload; b_op = op;
+                              b_link = N.Port_in (N.Core c); b_bytes = per_core;
+                              b_start = s; b_end = s +. inbound };
+                          Probe.emit_transfer links
+                            { Probe.t_cls = Probe.Preload; t_op = op; t_src = N.Hbm h;
+                              t_dst = N.Core c; t_bytes = per_core; t_hops = 2;
+                              t_wait = s -. gate; t_start = s; t_end = done_c }
+                        end;
+                        finish := Float.max !finish done_c
+                      end
+                    done;
+                    ideal :=
+                      Float.max !ideal (gate +. Float.max ctrl_service inbound)
+                  done
+              | Arch.Mesh2d _ | Arch.Clustered _ ->
                   for c = 0 to chip.Arch.cores - 1 do
-                    if c mod nctrl = h then begin
-                      let inp = link_free pre_fabric (N.Port_in (N.Core c)) in
-                      let s = Float.max start !inp in
-                      inp := s +. inbound;
-                      pre_fabric.link_volume <- pre_fabric.link_volume +. per_core;
-                      if per_core > 0. then
-                        Option.iter
-                          (fun nt ->
-                            Noctrace.record_booking nt ~cls:Noctrace.Preload
-                              ~op ~link:(N.Port_in (N.Core c)) ~bytes:per_core
-                              ~t_start:s ~t_end:(s +. inbound);
-                            Noctrace.record_transfer nt ~cls:Noctrace.Preload
-                              ~op ~src:(N.Hbm h) ~dst:(N.Core c)
-                              ~bytes:per_core ~hops:2 ~wait:(s -. gate)
-                              ~t_start:s
-                              ~t_end:
-                                (s +. Float.max inbound ctrl_service
-                                +. chip.Arch.intercore_link.Arch.latency))
-                          nrec;
-                      finish :=
-                        Float.max !finish
-                          (s +. Float.max inbound ctrl_service
-                          +. chip.Arch.intercore_link.Arch.latency)
-                    end
-                  done;
-                  ideal :=
-                    Float.max !ideal (gate +. Float.max ctrl_service inbound)
-                done
-            | Arch.Mesh2d _ | Arch.Clustered _ ->
-                for c = 0 to chip.Arch.cores - 1 do
-                  let src = N.hbm_ctrl_for_core noc c in
-                  let done_c, _wait =
-                    transfer ?tr:(ntag Noctrace.Preload op) pre_fabric ~src
-                      ~dst:(N.Core c) ~bytes:per_core ~not_before:gate
-                  in
-                  ideal :=
-                    Float.max !ideal
-                      (gate
-                      +. (N.transfer_time noc ~src ~dst:(N.Core c) ~bytes:per_core
-                         /. Float.max 1e-9 pre_share));
-                  finish := Float.max !finish done_c
-                done);
-            let d = Float.max 0. (!finish -. Float.max !ideal hbm_done) in
-            stall_pre := !stall_pre +. d;
-            stall_interconnect := !stall_interconnect +. d;
-            pre_start.(op) <- gate;
-            pre_end.(op) <- !finish;
-            if popt.P.noc_inject_bytes > 0. && !finish > gate then
-              Elk_util.Series.add perf.Perfcore.noc_series ~t_start:gate
-                ~t_end:!finish ~volume:popt.P.noc_inject_bytes;
-            preload_free := !finish;
-            Option.iter
-              (fun m ->
-                Memtrace.record_preload m ~op ~reserve:gate ~deliver:!finish
-                  ~bytes:popt.P.preload_space)
-              mrec;
-            Option.iter
-              (fun rc ->
-                let read =
-                  emit rc ~op ~kind:Critpath.Hbm_read ~t_start:gate ~t_end:hbm_done
-                    ~parent:pre_parent ~deps:[ rc.last_exec; rc.last_pre ]
-                    ~port_wait:0.
-                in
-                let deliver =
-                  emit rc ~op ~kind:Critpath.Preload_deliver ~t_start:hbm_done
-                    ~t_end:(Float.max hbm_done !finish) ~parent:read ~deps:[ read ]
-                    ~port_wait:d
-                in
-                rc.pre_done.(op) <- deliver;
-                rc.last_pre <- deliver)
-              rc
-          end
+                    let src = N.hbm_ctrl_for_core noc c in
+                    let done_c, _wait =
+                      transfer ~links ~cls:Probe.Preload ~op pre_fabric ~src
+                        ~dst:(N.Core c) ~bytes:per_core ~not_before:gate
+                    in
+                    ideal :=
+                      Float.max !ideal
+                        (gate
+                        +. (N.transfer_time noc ~src ~dst:(N.Core c) ~bytes:per_core
+                           /. Float.max 1e-9 pre_share));
+                    finish := Float.max !finish done_c
+                  done);
+              let d = Float.max 0. (!finish -. Float.max !ideal hbm_done) in
+              stall_pre := !stall_pre +. d;
+              stall_interconnect := !stall_interconnect +. d;
+              if popt.P.noc_inject_bytes > 0. && !finish > gate then
+                Elk_util.Series.add perf.Perfcore.noc_series ~t_start:gate
+                  ~t_end:!finish ~volume:popt.P.noc_inject_bytes;
+              (hbm_done, !finish, d)
+            end
+          in
+          pre_start.(op) <- gate;
+          pre_end.(op) <- finish;
+          preload_free := finish;
+          (match probes with
+          | [] -> ()
+          | _ ->
+              Probe.emit_preload probes
+                { Probe.p_op = op; p_exec_ready = !exec_ready; p_pre_ready = pre_ready;
+                  p_gate = gate; p_reads_hbm = reads_hbm; p_hbm_done = hbm_done;
+                  p_finish = finish; p_port_wait = port_wait;
+                  p_bytes = popt.P.preload_space })
       | Elk.Program.Execute op ->
           let e = s.Elk.Schedule.entries.(op) in
           let plan = e.Elk.Schedule.plan in
           let node = Elk_model.Graph.get graph op in
           let prev_ready = !exec_ready in
-          let start = Float.max !exec_ready pre_end.(op) in
+          let start = boxed (Float.max !exec_ready pre_end.(op)) in
           if !pending > 0 then decr pending;
           preload_wait := !preload_wait +. Float.max 0. (pre_end.(op) -. !exec_ready);
           let ncores = cores_of plan in
@@ -450,14 +368,15 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
             for c = 0 to ncores - 1 do
               let src = N.Core ((c + 1) mod ncores) in
               let done_c, wait_c =
-                transfer ?tr:(ntag Noctrace.Distribute op) fg_fabric ~src
+                transfer ~links ~cls:Probe.Distribute ~op fg_fabric ~src
                   ~dst:(N.Core c) ~bytes:dist_per_core ~not_before:start
               in
               dist_done.(c) <- done_c;
               dist_wait.(c) <- wait_c;
               dist_end := Float.max !dist_end done_c
             done;
-          let sd = Float.max 0. (!dist_end -. start -. dist_ideal) in
+          let dist_end = !dist_end in
+          let sd = Float.max 0. (dist_end -. start -. dist_ideal) in
           stall_dist := !stall_dist +. sd;
           stall_interconnect := !stall_interconnect +. sd;
           (* Phase 2: per-core tile computation (slowest core binds). *)
@@ -465,16 +384,17 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
             Elk_cost.Device.exec_time chip ~kind:node.Elk_model.Graph.op.Elk_tensor.Opspec.kind
               ~iter:plan.P.tile
           in
-          let compute_end = ref !dist_end in
+          let compute_end = ref dist_end in
           for c = 0 to ncores - 1 do
             compute_end :=
-              Float.max !compute_end (!dist_end +. (t_tile *. core_skew ~skew c op))
+              Float.max !compute_end (dist_end +. (t_tile *. core_skew ~skew c op))
           done;
+          let compute_end = boxed !compute_end in
           (* Phase 3: exchange/reduction of shared activations and partial
              results. *)
           let ex_per_core = plan.P.exchange_bytes_per_core in
-          let ex_end = ref !compute_end in
-          let ex_done = Array.make (max 1 ncores) !compute_end in
+          let ex_end = ref compute_end in
+          let ex_done = Array.make (max 1 ncores) compute_end in
           let ex_wait = Array.make (max 1 ncores) 0. in
           let ex_ideal =
             if ex_per_core > 0. then
@@ -487,14 +407,15 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
             for c = 0 to ncores - 1 do
               let src = N.Core ((c + ncores - 1) mod ncores) in
               let done_c, wait_c =
-                transfer ?tr:(ntag Noctrace.Exchange op) fg_fabric ~src
-                  ~dst:(N.Core c) ~bytes:ex_per_core ~not_before:!compute_end
+                transfer ~links ~cls:Probe.Exchange ~op fg_fabric ~src
+                  ~dst:(N.Core c) ~bytes:ex_per_core ~not_before:compute_end
               in
               ex_done.(c) <- done_c;
               ex_wait.(c) <- wait_c;
               ex_end := Float.max !ex_end done_c
             done;
-          let se = Float.max 0. (!ex_end -. !compute_end -. ex_ideal) in
+          let ex_end = !ex_end in
+          let se = Float.max 0. (ex_end -. compute_end -. ex_ideal) in
           stall_ex := !stall_ex +. se;
           stall_interconnect := !stall_interconnect +. se;
           (* Resource attribution: decompose every core's share of
@@ -506,9 +427,9 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
           let gap = start -. prev_ready in
           let pre_len = pre_end.(op) -. pre_start.(op) in
           let hbm_frac = if pre_len > 0. then pre_hbm.(op) /. pre_len else 0. in
-          let dist_len = !dist_end -. start in
-          let compute_len = !compute_end -. !dist_end in
-          let ex_len = !ex_end -. !compute_end in
+          let dist_len = dist_end -. start in
+          let compute_len = compute_end -. dist_end in
+          let ex_len = ex_end -. compute_end in
           let max_wait w = Array.fold_left Float.max 0. w in
           let port_d = Float.min dist_len (if dist_per_core > 0. then max_wait dist_wait else 0.) in
           let port_e = Float.min ex_len (if ex_per_core > 0. then max_wait ex_wait else 0.) in
@@ -518,13 +439,13 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
             (gap *. (1. -. hbm_frac)) +. (dist_len -. port_d) +. (ex_len -. port_e);
           at.Perfcore.a_compute <- compute_len;
           at.Perfcore.a_port <- port_d +. port_e;
-          if dist_per_core > 0. && !dist_end > start then
+          if dist_per_core > 0. && dist_end > start then
             Elk_util.Series.add perf.Perfcore.noc_series ~t_start:start
-              ~t_end:!dist_end
+              ~t_end:dist_end
               ~volume:(dist_per_core *. float_of_int ncores);
-          if ex_per_core > 0. && !ex_end > !compute_end then
-            Elk_util.Series.add perf.Perfcore.noc_series ~t_start:!compute_end
-              ~t_end:!ex_end
+          if ex_per_core > 0. && ex_end > compute_end then
+            Elk_util.Series.add perf.Perfcore.noc_series ~t_start:compute_end
+              ~t_end:ex_end
               ~volume:(ex_per_core *. float_of_int ncores);
           for c = 0 to chip.Arch.cores - 1 do
             let b = perf.Perfcore.per_core.(c) in
@@ -534,7 +455,7 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
                 let comm = Float.max 0. (dist_done.(c) -. start -. dist_wait.(c)) in
                 b.Perfcore.exchange <- b.Perfcore.exchange +. comm;
                 b.Perfcore.port <- b.Perfcore.port +. dist_wait.(c);
-                b.Perfcore.idle <- b.Perfcore.idle +. (!dist_end -. dist_done.(c));
+                b.Perfcore.idle <- b.Perfcore.idle +. (dist_end -. dist_done.(c));
                 if comm > 0. then
                   Elk_util.Series.add perf.Perfcore.core_busy.(c)
                     ~t_start:(dist_done.(c) -. comm) ~t_end:dist_done.(c) ~volume:comm
@@ -543,53 +464,33 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
               b.Perfcore.compute <- b.Perfcore.compute +. t_c;
               b.Perfcore.idle <- b.Perfcore.idle +. (compute_len -. t_c);
               if t_c > 0. then
-                Elk_util.Series.add perf.Perfcore.core_busy.(c) ~t_start:!dist_end
-                  ~t_end:(!dist_end +. t_c) ~volume:t_c;
+                Elk_util.Series.add perf.Perfcore.core_busy.(c) ~t_start:dist_end
+                  ~t_end:(dist_end +. t_c) ~volume:t_c;
               if ex_per_core > 0. then begin
-                let comm = Float.max 0. (ex_done.(c) -. !compute_end -. ex_wait.(c)) in
+                let comm = Float.max 0. (ex_done.(c) -. compute_end -. ex_wait.(c)) in
                 b.Perfcore.exchange <- b.Perfcore.exchange +. comm;
                 b.Perfcore.port <- b.Perfcore.port +. ex_wait.(c);
-                b.Perfcore.idle <- b.Perfcore.idle +. (!ex_end -. ex_done.(c));
+                b.Perfcore.idle <- b.Perfcore.idle +. (ex_end -. ex_done.(c));
                 if comm > 0. then
                   Elk_util.Series.add perf.Perfcore.core_busy.(c)
                     ~t_start:(ex_done.(c) -. comm) ~t_end:ex_done.(c) ~volume:comm
               end
             end
-            else b.Perfcore.idle <- b.Perfcore.idle +. (!ex_end -. start)
+            else b.Perfcore.idle <- b.Perfcore.idle +. (ex_end -. start)
           done;
           exe_start.(op) <- start;
-          dist_end_arr.(op) <- !dist_end;
-          compute_end_arr.(op) <- !compute_end;
-          exe_end.(op) <- !ex_end;
-          Option.iter
-            (fun m ->
-              Memtrace.record_execute m ~op ~first_use:start
-                ~tail_start:!compute_end ~release:!ex_end
-                ~bytes:plan.P.exec_space ~cores:ncores)
-            mrec;
-          Option.iter
-            (fun rc ->
-              (* Ties go to the preload side: at equal times the data
-                 dependency (§4.5 rule 3) is the enabling completion. *)
-              let parent =
-                binding ~a:prev_ready ~on_a:rc.last_exec ~b:pre_end.(op)
-                  ~on_b:rc.pre_done.(op)
-              in
-              let dist =
-                emit rc ~op ~kind:Critpath.Distribute ~t_start:start ~t_end:!dist_end
-                  ~parent ~deps:[ rc.last_exec; rc.pre_done.(op) ] ~port_wait:port_d
-              in
-              let comp =
-                emit rc ~op ~kind:Critpath.Tile_compute ~t_start:!dist_end
-                  ~t_end:!compute_end ~parent:dist ~deps:[ dist ] ~port_wait:0.
-              in
-              let ex =
-                emit rc ~op ~kind:Critpath.Exchange ~t_start:!compute_end
-                  ~t_end:!ex_end ~parent:comp ~deps:[ comp ] ~port_wait:port_e
-              in
-              rc.last_exec <- ex)
-            rc;
-          exec_ready := !ex_end)
+          dist_end_arr.(op) <- dist_end;
+          compute_end_arr.(op) <- compute_end;
+          exe_end.(op) <- ex_end;
+          (match probes with
+          | [] -> ()
+          | _ ->
+              Probe.emit_execute probes
+                { Probe.e_op = op; e_prev_ready = prev_ready; e_pre_end = pre_end.(op);
+                  e_start = start; e_dist_end = dist_end; e_compute_end = compute_end;
+                  e_end = ex_end; e_dist_wait = port_d; e_ex_wait = port_e;
+                  e_bytes = plan.P.exec_space; e_cores = ncores });
+          exec_ready := ex_end)
     program.Elk.Program.instrs;
   let total = exe_end.(n - 1) in
   (let module M = Elk_obs.Metrics in
@@ -612,25 +513,13 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
    M.observe "elk_sim_preload_queue_depth" (float_of_int !max_pending)
      ~help:"Peak issued-but-unexecuted preload queue depth per run");
   (* Breakdown: union measures of preload and execute interval sets. *)
-  let union intervals =
-    let sorted = List.sort compare (List.filter (fun (a, b) -> b > a) intervals) in
-    let rec go acc cur = function
-      | [] -> ( match cur with None -> acc | Some (a, b) -> acc +. (b -. a))
-      | (a, b) :: rest -> (
-          match cur with
-          | None -> go acc (Some (a, b)) rest
-          | Some (ca, cb) ->
-              if a <= cb then go acc (Some (ca, Float.max cb b)) rest
-              else go (acc +. (cb -. ca)) (Some (a, b)) rest)
-    in
-    go 0. None sorted
-  in
   let pre_iv = List.init n (fun o -> (pre_start.(o), pre_end.(o))) in
   let exe_iv = List.init n (fun o -> (exe_start.(o), exe_end.(o))) in
   let clip (a, b) (c, d) =
     let lo = Float.max a c and hi = Float.min b d in
     if hi > lo then Some (lo, hi) else None
   in
+  let union = Elk_util.Series.union_measure in
   let both = union (List.concat_map (fun x -> List.filter_map (clip x) exe_iv) pre_iv) in
   let pre_m = union pre_iv and exe_m = union exe_iv in
   let sum f = Array.fold_left (fun a e -> a +. f e) 0. s.Elk.Schedule.entries in
@@ -692,16 +581,16 @@ let run_impl ~skew ~record ~record_mem ~record_noc ctx (s : Elk.Schedule.t) =
           });
     hbm_requests = stats.Elk_hbm.Hbm.requests;
     perf;
-    events = Option.map (fun rc -> Array.of_list (List.rev rc.log)) rc;
-    mem = mrec;
-    noc = nrec;
+    events = Option.map Critpath.recorded cp;
+    mem = mt;
+    noc = nt;
   }
 
-let run ?(skew = 0.02) ?(events = default_events) ?(mem = default_mem)
-    ?(noc = default_noc) ctx (s : Elk.Schedule.t) =
+let run ?(skew = 0.02) ?(events = false) ?(mem = false) ?(noc = false) ctx
+    (s : Elk.Schedule.t) =
   Elk_obs.Span.with_span "sim-run"
     ~attrs:[ ("ops", string_of_int (Elk.Schedule.num_ops s)) ]
-    (fun () -> run_impl ~skew ~record:events ~record_mem:mem ~record_noc:noc ctx s)
+    (fun () -> run_impl ~skew ~events ~mem ~noc ctx s)
 
 let compare_with_timeline ctx s =
   let sim = run ctx s in

@@ -56,18 +56,16 @@ type result = {
           scalars derivable from the series. *)
   events : Critpath.event array option;
       (** causal event DAG, recorded only when {!run} is called with
-          [~events:true] (or [ELK_SIM_EVENTS=1]); [None] otherwise.
-          Feed to {!Critpath.extract} for the critical path. *)
+          [~events:true]; [None] otherwise.  Feed to {!Critpath.extract}
+          for the critical path. *)
   mem : Memtrace.t option;
       (** SRAM-residency record, only when {!run} is called with
-          [~mem:true] (or [ELK_SIM_MEM=1]); [None] otherwise.  Feed to
-          {!Elk_analyze.Memprof} for occupancy timelines and wasted
-          residency. *)
+          [~mem:true]; [None] otherwise.  Feed to {!Elk_analyze.Memprof}
+          for occupancy timelines and wasted residency. *)
   noc : Noctrace.t option;
       (** per-link interconnect record, only when {!run} is called with
-          [~noc:true] (or [ELK_SIM_NOC=1]); [None] otherwise.  Feed to
-          {!Elk_analyze.Nocprof} for per-link utilization timelines and
-          congestion profiles. *)
+          [~noc:true]; [None] otherwise.  Feed to {!Elk_analyze.Nocprof}
+          for per-link utilization timelines and congestion profiles. *)
 }
 
 val run :
@@ -79,14 +77,14 @@ val run :
   Elk.Schedule.t ->
   result
 (** Simulate one chip executing a schedule.  [skew] (default 0.02) is the
-    relative deterministic per-core compute-time perturbation.  [events]
-    (default: the [ELK_SIM_EVENTS] env var, off otherwise) turns on
-    causal event recording, [mem] (default: [ELK_SIM_MEM]) turns on
-    SRAM-residency recording, and [noc] (default: [ELK_SIM_NOC]) turns
-    on per-link interconnect recording; all three are pure bookkeeping —
-    recorded times are never read back, so the simulated timeline is
-    identical either way.  Raises [Invalid_argument] if the schedule
-    fails validation. *)
+    relative deterministic per-core compute-time perturbation.  [events],
+    [mem] and [noc] (all default false) turn on the {!Critpath},
+    {!Memtrace} and {!Noctrace} recorders; the event loop emits each
+    preload, execute, link booking and transfer once to the active ones
+    ({!Probe}).  Recording is pure bookkeeping — recorded times are never
+    read back, so the simulated timeline is identical whichever recorders
+    run.  The CLI selects them with [--record=events,mem,noc].  Raises
+    [Invalid_argument] if the schedule fails validation. *)
 
 val compare_with_timeline :
   Elk_partition.Partition.ctx -> Elk.Schedule.t -> float

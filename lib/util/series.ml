@@ -51,3 +51,16 @@ let peak_rate t ~n =
 let mean_rate t =
   let lo, hi = horizon t in
   if hi <= lo then 0. else total t /. (hi -. lo)
+
+let union_measure intervals =
+  let sorted = List.sort compare (List.filter (fun (a, b) -> b > a) intervals) in
+  let rec go acc cur = function
+    | [] -> ( match cur with None -> acc | Some (a, b) -> acc +. (b -. a))
+    | (a, b) :: rest -> (
+        match cur with
+        | None -> go acc (Some (a, b)) rest
+        | Some (ca, cb) ->
+            if a <= cb then go acc (Some (ca, Float.max cb b)) rest
+            else go (acc +. (cb -. ca)) (Some (a, b)) rest)
+  in
+  go 0. None sorted

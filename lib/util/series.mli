@@ -33,3 +33,7 @@ val peak_rate : t -> n:int -> float
 
 val mean_rate : t -> float
 (** Total volume divided by horizon length; 0 on empty/degenerate. *)
+
+val union_measure : (float * float) list -> float
+(** Measure of the union of a set of [(start, end)] intervals: time
+    covered at least once. *)

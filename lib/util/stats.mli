@@ -33,3 +33,7 @@ val ols : (float array * float) list -> float array
 
 val predict : float array -> float array -> float
 (** [predict coeffs features] applies a coefficient vector from {!ols}. *)
+
+val rel_err : float -> float -> float
+(** [|a - b| / max |a| |b|], 0 when both are 0: the relative drift the
+    simulator's invariant checks bound. *)

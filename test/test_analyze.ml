@@ -149,6 +149,33 @@ let test_slack_headroom () =
             && attrib_h >= 0.))
         (A.slack_headroom rep sum)
 
+(* The report skeleton fails the command on any check error: the error
+   comes back unchanged and nothing is printed or exported. *)
+let test_report_skeleton_fails () =
+  let rep =
+    {
+      Elk_analyze.Report.what = "synthetic report";
+      check = Error "synthetic violation";
+      warnings = [ "never shown" ];
+      print = (fun () -> Alcotest.fail "printed despite a failed check");
+      to_json = (fun () -> "{}");
+      trace_events = (fun () -> []);
+      gauges = [];
+    }
+  in
+  Alcotest.(check (result unit string)) "error returned" (Error "synthetic violation")
+    (Elk_analyze.Report.emit rep);
+  (* A real run whose attribution leaks a second fails elk analyze. *)
+  let s = Lazy.force Tu.tiny_schedule in
+  let r = Sim.run (Lazy.force Tu.default_ctx) s in
+  let b = r.Sim.perf.Pc.per_core.(0) in
+  b.Pc.idle <- b.Pc.idle +. 1.;
+  match Elk_analyze.Report.emit (A.report s.Elk.Schedule.graph r) with
+  | Error m ->
+      Alcotest.(check bool) "names the leak" true
+        (String.starts_with ~prefix:"attribution leak: " m)
+  | Ok () -> Alcotest.fail "leaking attribution passed the check"
+
 let suite =
   [
     ("classify: synthetic dominant buckets", `Quick, test_classify_synthetic);
@@ -157,4 +184,5 @@ let suite =
     ("json/table/counter exports", `Quick, test_exports);
     ("degenerate single-op model stays finite", `Quick, test_degenerate_single_op);
     ("slack-aware headroom cross-check", `Quick, test_slack_headroom);
+    ("report skeleton fails on a check error", `Quick, test_report_skeleton_fails);
   ]

@@ -171,7 +171,7 @@ let test_plan_cache_cap () =
         b.Frontend.finish)
     full.Frontend.requests capped.Frontend.requests
 
-(* serve --noc: with interconnect recording on, every batch carries the
+(* serve --record=noc: with interconnect recording on, every batch carries the
    hottest link of its plans, the busiest-link gauge enters the series,
    and the lifecycle timestamps are identical to a run without it. *)
 let test_noc_gauge () =

@@ -108,7 +108,7 @@ let test_link_stats_consistent () =
   in
   Alcotest.(check bool) "canonical order" true (sorted stats);
   let booked =
-    Array.fold_left (fun a b -> a +. b.Nt.b_bytes) 0. (Nt.bookings t)
+    Array.fold_left (fun a b -> a +. b.Elk_sim.Probe.b_bytes) 0. (Nt.bookings t)
   in
   let stat_vol = List.fold_left (fun a s -> a +. s.Nt.ls_volume) 0. stats in
   Tu.check_rel "volumes tie out" ~tolerance:1e-9 booked stat_vol;
@@ -163,7 +163,7 @@ let test_analyze_requires_record () =
   Alcotest.check_raises "needs record"
     (Invalid_argument
        "Nocprof.analyze: simulator run has no interconnect record (run with \
-        ~noc:true or ELK_SIM_NOC=1)")
+        ~noc:true)")
     (fun () -> ignore (Np.analyze (sched ()) r))
 
 let suite =

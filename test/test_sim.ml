@@ -125,9 +125,35 @@ let test_mesh_not_faster_than_a2a () =
   let rm = Sim.run mctx (Elk.Scheduler.run mctx g) in
   Alcotest.(check bool) "mesh >= a2a * 0.9" true (rm.Sim.total >= 0.9 *. ra.Sim.total)
 
+(* Recorders are pure bookkeeping: every subset of {events, mem, noc}
+   leaves the simulated timeline bit-identical to the plain run, and
+   each recorder runs exactly when selected. *)
+let check_recorder_subsets name ctx s =
+  let bits (r : Sim.result) =
+    Marshal.to_string (r.Sim.total, r.Sim.bd, r.Sim.per_op, r.Sim.perf) [ Marshal.No_sharing ]
+  in
+  let plain = bits (Sim.run ctx s) in
+  List.iter
+    (fun (events, mem, noc) ->
+      let r = Sim.run ~events ~mem ~noc ctx s in
+      let label = Printf.sprintf "%s events=%b mem=%b noc=%b" name events mem noc in
+      Alcotest.(check bool) (label ^ ": bit-identical") true (bits r = plain);
+      Alcotest.(check (list bool)) (label ^ ": records") [ events; mem; noc ]
+        [ r.Sim.events <> None; r.Sim.mem <> None; r.Sim.noc <> None ])
+    (List.concat_map
+       (fun e -> List.concat_map (fun m -> [ (e, m, false); (e, m, true) ]) [ false; true ])
+       [ false; true ])
+
+let test_recorder_subsets () =
+  check_recorder_subsets "a2a" (ctx ()) (sched ());
+  let mctx = Lazy.force Tu.mesh_ctx in
+  check_recorder_subsets "mesh" mctx
+    (Elk.Scheduler.run mctx (Lazy.force Tu.tiny_llama_chip_graph))
+
 let suite =
   [
     ("sim: positive total", `Quick, test_total_positive);
+    ("sim: every recorder subset bit-identical", `Quick, test_recorder_subsets);
     ("sim: executes sequential", `Quick, test_executes_sequential);
     ("sim: preload before exec", `Quick, test_preload_before_exec);
     ("sim: phase ordering", `Quick, test_phases_ordered);

@@ -1245,8 +1245,27 @@ let micro () =
         (Staged.stage (fun () ->
              Elk_cost.Costmodel.predict_exec cost ~kind:"matmul" ~iter:[| 32; 64; 64 |]));
       Test.make ~name:"fig16:alloc-step"
-        (Staged.stage (fun () ->
-             Elk.Alloc.allocate env.D.ctx ~capacity ~exec_op:node ~window:[]));
+        (Staged.stage
+           (* One allocator call on a window the scheduler really built:
+              the step of the scheduled plan with the most operators
+              resident in preload state, with their scheduled plans. *)
+           (let s = Lazy.force sched in
+            let issued = Elk.Residency.issued_counts s in
+            let window_at i =
+              List.filter_map
+                (fun k ->
+                  let w = s.Elk.Schedule.order.(k) in
+                  if w > i then Some (Graph.get g w, s.Elk.Schedule.entries.(w).Elk.Schedule.plan)
+                  else None)
+                (List.init issued.(i) Fun.id)
+            in
+            let step = ref 0 in
+            Array.iteri
+              (fun i _ ->
+                if List.length (window_at i) > List.length (window_at !step) then step := i)
+              issued;
+            let exec_op = Graph.get g !step and window = window_at !step in
+            fun () -> Elk.Alloc.allocate env.D.ctx ~capacity ~exec_op ~window));
       Test.make ~name:"fig17:timeline-eval"
         (Staged.stage (fun () -> Elk.Timeline.evaluate env.D.ctx (Lazy.force sched)));
       Test.make ~name:"fig18:sim-run"

@@ -36,9 +36,9 @@ let overlaps a b =
 
 (* Bump-pack a window combination: every participant is live at once
    during the execute step, so addresses are consecutive.  The packed
-   extent is the exact float sum the greedy descent historically
-   compared against the capacity (same operands, same association
-   order), now expressed through the interval layer. *)
+   extent is the exact float sum the greedy descent compares against
+   the capacity ([demand] below: same operands, same association
+   order), expressed through the interval layer. *)
 let pack sized =
   let _, placed =
     List.fold_left
@@ -130,111 +130,119 @@ let layout_of_schedule (s : Schedule.t) =
   List.rev_map (fun (_, _, a) -> a) !placed
   |> List.sort (fun a b -> compare (a.a_op, a.a_kind) (b.a_op, b.a_kind))
 
-(* One participant in the greedy descent: a frontier of (space, time)
-   choices, currently sitting at [idx] (starting at the largest-space /
-   fastest end) and able to step down to [idx - 1]. *)
+(* One participant in the greedy descent: a memoized frontier of
+   (space, time) choices, currently sitting at [idx] (starting at the
+   largest-space / fastest end) and able to step down to [idx - 1]. *)
 type participant = {
   spaces : float array;  (** ascending. *)
   times : float array;  (** descending. *)
   mutable idx : int;
 }
 
-let of_points pts =
-  let spaces = Array.of_list (List.map (fun p -> p.Pareto.x) pts) in
-  let times = Array.of_list (List.map (fun p -> p.Pareto.y) pts) in
-  { spaces; times; idx = Array.length spaces - 1 }
+let participant (t : _ P.tradeoff) =
+  { spaces = t.P.spaces; times = t.P.times; idx = Array.length t.P.spaces - 1 }
 
-let current_space p = p.spaces.(p.idx)
+(* The combination's footprint: the left-to-right float sum of the
+   current spaces, execute state first, then the window in order — the
+   same operands in the same association order as the [extent] of
+   [pack_current] below, without building the intervals.  (A running
+   total updated by subtract/add would round differently and change
+   plans.)  Inlined so the descent's per-step sum is never boxed. *)
+let[@inline] demand parts =
+  let s = ref 0. in
+  for k = 0 to Array.length parts - 1 do
+    let p = parts.(k) in
+    s := !s +. p.spaces.(p.idx)
+  done;
+  !s
 
-let step_delta p =
-  if p.idx = 0 then None
-  else
-    let freed = p.spaces.(p.idx) -. p.spaces.(p.idx - 1) in
-    let slower = Float.max 1e-12 (p.times.(p.idx - 1) -. p.times.(p.idx)) in
-    Some (freed /. slower)
+(* Index of the participant whose next step down frees the most bytes
+   per added second (first one on ties), or [-1] when every participant
+   is at its smallest point. *)
+let steepest parts =
+  let best = ref (-1) and best_d = ref 0. in
+  for k = 0 to Array.length parts - 1 do
+    let p = parts.(k) in
+    if p.idx > 0 then begin
+      let freed = p.spaces.(p.idx) -. p.spaces.(p.idx - 1) in
+      let slower = Float.max 1e-12 (p.times.(p.idx - 1) -. p.times.(p.idx)) in
+      let d = freed /. slower in
+      if !best < 0 || not (!best_d >= d) then begin
+        best := k;
+        best_d := d
+      end
+    end
+  done;
+  !best
 
 let allocate_or_error ctx ~capacity ~exec_op ~window =
   let open Elk_model in
-  let op_label =
+  let op_label () =
     Printf.sprintf "op %d (%s)" exec_op.Graph.id
       exec_op.Graph.op.Elk_tensor.Opspec.name
   in
-  let exec_frontier = P.exec_frontier ctx exec_op.Graph.op in
-  if exec_frontier = [] then
+  let exec = P.exec_tradeoff ctx exec_op.Graph.op in
+  if Array.length exec.P.spaces = 0 then
     Error
       (Printf.sprintf
          "allocation infeasible for %s: no execute-state plan fits %.0f \
           B/core SRAM"
-         op_label capacity)
+         (op_label ()) capacity)
   else begin
-    let exec_part = of_points exec_frontier in
-    let window_opts =
-      List.map
-        (fun ((node : Graph.node), plan) ->
-          let opts = P.preload_options ctx node.Graph.op plan in
-          let pts =
-            List.map
-              (fun o ->
-                { Pareto.x = o.P.preload_space; y = P.preload_overhead o; payload = o })
-              opts
-          in
-          (node.Graph.id, Array.of_list (List.map (fun p -> p.Pareto.payload) pts), of_points pts))
-        window
-    in
-    let participants = exec_part :: List.map (fun (_, _, p) -> p) window_opts in
-    (* The combination's footprint, expressed as packed address
-       intervals: the execute state followed by every overlapping
-       preload.  [extent] of the bump packing is the exact same float
-       sum the previous ad-hoc accumulation produced, and [well_packed]
-       asserts the intervals the schedule would hand the race analysis
-       are disjoint by construction. *)
+    let n = List.length window in
+    let ids = Array.make n 0 in
+    let opts = Array.make n [||] in
+    let exec_part = participant exec in
+    (* [parts.(0)] is the execute state, [parts.(k + 1)] the k-th window
+       operator's preload state. *)
+    let parts = Array.make (n + 1) exec_part in
+    List.iteri
+      (fun k ((node : Graph.node), plan) ->
+        let t = P.preload_tradeoff ctx node.Graph.op plan in
+        ids.(k) <- node.Graph.id;
+        opts.(k) <- t.P.payloads;
+        parts.(k + 1) <- participant t)
+      window;
+    (* The combination as packed address intervals: the execute state
+       followed by every overlapping preload.  Only built for the final
+       assertion: the intervals the schedule would hand the race analysis
+       are disjoint by construction, and their extent is the [demand] the
+       descent compared against the capacity. *)
     let pack_current () =
       pack
-        ((exec_op.Graph.id, Residency.Exec, current_space exec_part)
-        :: List.map
-             (fun (id, _, p) -> (id, Residency.Preload, current_space p))
-             window_opts)
+        (List.init (n + 1) (fun k ->
+             let p = parts.(k) in
+             if k = 0 then (exec_op.Graph.id, Residency.Exec, p.spaces.(p.idx))
+             else (ids.(k - 1), Residency.Preload, p.spaces.(p.idx))))
     in
-    let total () = extent (pack_current ()) in
     let rec descend () =
-      if total () <= capacity then true
-      else begin
-        let best =
-          List.fold_left
-            (fun acc p ->
-              match step_delta p with
-              | None -> acc
-              | Some d -> (
-                  match acc with Some (bd, _) when bd >= d -> acc | _ -> Some (d, p)))
-            None participants
-        in
-        match best with
-        | None -> false
-        | Some (_, p) ->
-            p.idx <- p.idx - 1;
-            descend ()
-      end
+      demand parts <= capacity
+      ||
+      match steepest parts with
+      | -1 -> false
+      | k ->
+          parts.(k).idx <- parts.(k).idx - 1;
+          descend ()
     in
     if not (descend ()) then
-      (* Every participant is at its smallest Pareto point, so [total ()]
+      (* Every participant is at its smallest Pareto point, so [demand]
          is the irreducible demand of this window combination. *)
+      let total = demand parts in
       Error
         (Printf.sprintf
            "allocation infeasible for %s: minimal demand %.0f B/core \
             (execute state + %d overlapping preloads) exceeds %.0f B/core \
             SRAM by %.0f B"
-           op_label (total ())
-           (List.length window_opts)
-           capacity
-           (total () -. capacity))
+           (op_label ()) total n capacity (total -. capacity))
     else begin
-      let exec_plan =
-        (List.nth exec_frontier exec_part.idx).Pareto.payload
-      in
+      let exec_plan = exec.P.payloads.(exec_part.idx) in
       let chosen_window =
-        List.map (fun (id, opts, part) -> (id, opts.(part.idx))) window_opts
+        List.init n (fun k -> (ids.(k), opts.(k).(parts.(k + 1).idx)))
       in
-      assert (well_packed (pack_current ()));
+      let total = demand parts in
+      assert (
+        let packed = pack_current () in
+        well_packed packed && extent packed = total);
       let chip = P.ctx_chip ctx in
       let link_bw = chip.Arch.intercore_link.Arch.bandwidth in
       let cores = float_of_int chip.Arch.cores in
@@ -262,7 +270,7 @@ let allocate_or_error ctx ~capacity ~exec_op ~window =
           window = chosen_window;
           exec_time = exec_plan.P.exec_time +. contention;
           objective = exec_plan.P.exec_time +. contention +. dist_total;
-          total_space = total ();
+          total_space = total;
           contention;
         }
     end

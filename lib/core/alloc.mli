@@ -32,8 +32,9 @@ type result = {
 
     The allocator's capacity reasoning, made explicit: each buffer is a
     half-open per-core SRAM byte interval.  {!allocate_or_error} packs
-    every candidate combination through this layer (the packed extent is
-    the capacity check), and {!layout_of_schedule} assigns a concrete
+    the combination it chooses through this layer and asserts the
+    intervals are disjoint and their extent equals the demand its
+    capacity check summed, and {!layout_of_schedule} assigns a concrete
     deterministic address map to a whole schedule — the address component
     the race analysis ({!Elk_verify}) joins with {!Residency} lifetimes
     and the happens-before DAG. *)

@@ -200,14 +200,20 @@ let compile ?(options = default_options) ctx ~pod graph =
 
          The final fold runs in candidate-list order, making the chosen
          plan byte-identical across jobs counts. *)
+      (* Per-node digests for the scheduler's suffix resume: one pass
+         per compile, not one per candidate order. *)
+      let digests =
+        if Compilecache.enabled () then Some (Compilecache.node_digests chip_graph)
+        else None
+      in
       let schedule_order ?cutoff order =
         Metrics.incr "elk_compile_orders_tried_total"
           ~help:"Candidate preload orders attempted by the scheduler";
         try
           Some
             (Span.with_span "schedule" (fun () ->
-                 Scheduler.run ~order ~max_preload:options.max_preload ?cutoff ctx
-                   chip_graph))
+                 Scheduler.run ~order ?digests ~max_preload:options.max_preload ?cutoff
+                   ctx chip_graph))
         with
         | Scheduler.Infeasible _ ->
             Metrics.incr "elk_compile_orders_infeasible_total"
@@ -295,7 +301,9 @@ let compile ?(options = default_options) ctx ~pod graph =
         | Some (s, tl) -> (s, tl, tried)
         | None ->
             (* Re-run in execution order to surface the underlying error. *)
-            let s = Span.with_span "schedule" (fun () -> Scheduler.run ctx chip_graph) in
+            let s =
+              Span.with_span "schedule" (fun () -> Scheduler.run ?digests ctx chip_graph)
+            in
             let tl = Span.with_span "timeline-eval" (fun () -> Timeline.evaluate ctx s) in
             (s, tl, 1)
       in

@@ -158,12 +158,14 @@ let node_digest (n : Elk_model.Graph.node) =
   List.iter (add_int b) n.Elk_model.Graph.deps;
   Digest.string (Buffer.contents b)
 
+let node_digests g = Array.map node_digest (Elk_model.Graph.nodes g)
+
 let graph_digest g =
   let b = Buffer.create 1024 in
   add_str b (Elk_model.Graph.name g);
-  let nodes = Elk_model.Graph.nodes g in
-  add_int b (Array.length nodes);
-  Array.iter (fun n -> Buffer.add_string b (node_digest n)) nodes;
+  let digests = node_digests g in
+  add_int b (Array.length digests);
+  Array.iter (Buffer.add_string b) digests;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let digest_strings parts =

@@ -82,6 +82,9 @@ val node_digest : Elk_model.Graph.node -> string
     role, and dependency ids.  The unit of dirtiness tracking for the
     scheduler's suffix resume. *)
 
+val node_digests : Elk_model.Graph.t -> string array
+(** {!node_digest} of every node, indexed by id. *)
+
 val graph_digest : Elk_model.Graph.t -> string
 (** Hex digest of a whole graph (name plus every {!node_digest}). *)
 

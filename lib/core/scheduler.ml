@@ -76,7 +76,7 @@ let suffix_store : (string, suffix_memo) Compilecache.Lru.t =
 
 let () = Compilecache.on_reset (fun () -> Compilecache.Lru.clear suffix_store)
 
-let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
+let run ?order ?digests ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
   Elk_obs.Metrics.incr "elk_scheduler_runs_total"
     ~help:"Scheduler invocations (one per candidate preload order)";
   let n = Graph.length graph in
@@ -130,8 +130,9 @@ let run ?order ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
   let popt_writes : (int * P.preload_opt) list array = Array.make n [] in
   let caching = Compilecache.enabled () in
   let digests =
-    if caching then Array.init n (fun id -> Compilecache.node_digest (node_of id))
-    else [||]
+    match digests with
+    | Some d -> d
+    | None -> if caching then Compilecache.node_digests graph else [||]
   in
   let memo_key =
     if caching then

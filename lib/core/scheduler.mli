@@ -32,6 +32,7 @@ exception Pruned
 
 val run :
   ?order:int array ->
+  ?digests:string array ->
   ?max_preload:int ->
   ?cutoff:float ->
   Elk_partition.Partition.ctx ->
@@ -60,7 +61,10 @@ val run :
     (same per-node digests) restores their decisions and re-enters the
     induction at the last dirty operator, skipping the allocator sweeps
     of the clean suffix.  Resumed runs return schedules — and [Pruned]
-    outcomes — identical to a cold induction. *)
+    outcomes — identical to a cold induction.  [digests] passes the
+    per-node digests in, and must equal [Compilecache.node_digests graph];
+    a caller scheduling one graph under many orders computes them once.
+    Without it, [run] computes them itself when the cache is on. *)
 
 val preload_numbers : Schedule.t -> int array
 (** Per-operator preload numbers ([windows] shifted to operator ids):

@@ -27,16 +27,77 @@ type preload_opt = {
 
 let preload_overhead o = o.dist_time +. Float.max 0. (o.preload_len -. o.hbm_floor)
 
-type memo_entry = { plans : plan list; frontier : plan Pareto.point list }
+(* A frontier as parallel arrays, indexed from the smallest space up —
+   the form the allocator's greedy descent walks. *)
+type 'a tradeoff = { spaces : float array; times : float array; payloads : 'a array }
+
+let tradeoff_of_points pts =
+  {
+    spaces = Array.of_list (List.map (fun p -> p.Pareto.x) pts);
+    times = Array.of_list (List.map (fun p -> p.Pareto.y) pts);
+    payloads = Array.of_list (List.map (fun p -> p.Pareto.payload) pts);
+  }
+
+type enum_entry = {
+  plans : plan list;
+  frontier : plan Pareto.point list;
+  exec : plan tradeoff;
+}
+
+type popt_entry = { opts : preload_opt list; popt : preload_opt tradeoff }
+
+(* Memo key: the operator itself, compared on exactly the fields
+   {!plan_signature} digests (the name and tensor names are ignored), so
+   a hit costs one structural hash and compare instead of a digest.
+   Floats compare as [%h] renders them: NaNs alike, signed zeros apart. *)
+module Op_key = struct
+  type t = Opspec.t
+
+  let tensor_equal (a : Opspec.tensor) (b : Opspec.tensor) =
+    a.Opspec.source == b.Opspec.source && List.equal Int.equal a.Opspec.dims b.Opspec.dims
+
+  let equal (a : t) (b : t) =
+    a == b
+    || String.equal a.Opspec.kind b.Opspec.kind
+       && a.Opspec.iter = b.Opspec.iter
+       && List.equal tensor_equal a.Opspec.inputs b.Opspec.inputs
+       && tensor_equal a.Opspec.output b.Opspec.output
+       && Float.equal a.Opspec.flops_per_point b.Opspec.flops_per_point
+       && Float.sign_bit a.Opspec.flops_per_point = Float.sign_bit b.Opspec.flops_per_point
+       && a.Opspec.dtype == b.Opspec.dtype
+
+  let mix h v = (h * 65599) + v
+
+  let hash_tensor h (t : Opspec.tensor) =
+    mix
+      (List.fold_left mix h t.Opspec.dims)
+      (match t.Opspec.source with Opspec.Weights -> 1 | Opspec.Kv_cache -> 2 | Opspec.Activation -> 3)
+
+  let hash (op : t) =
+    let h = Array.fold_left mix (Hashtbl.hash op.Opspec.kind) op.Opspec.iter in
+    hash_tensor (List.fold_left hash_tensor h op.Opspec.inputs) op.Opspec.output
+end
+
+module Op_tbl = Hashtbl.Make (Op_key)
+
+module Factors_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash (f : t) = Hashtbl.hash f
+end)
+
+(* Everything memoized for one operator: its enumeration (filled by the
+   first {!lookup}) and its preload options per plan, keyed by factors. *)
+type op_memo = { mutable enum : enum_entry option; popts : popt_entry Factors_tbl.t }
 
 type ctx = {
   chip : Arch.chip;
   cost : Elk_cost.Costmodel.t;
   max_plans : int;
   fp : string;  (* digest of (chip, cost model, max_plans). *)
-  lock : Mutex.t;  (* guards [memo] and [popt_memo]; see [memo_find]. *)
-  memo : (string, memo_entry) Hashtbl.t;
-  popt_memo : (string, preload_opt list) Hashtbl.t;
+  lock : Mutex.t;  (* guards [memo] and every [op_memo] in it; see [lookup]. *)
+  memo : op_memo Op_tbl.t;
 }
 
 (* Cross-compile memo sharing: contexts built from behaviorally identical
@@ -44,21 +105,17 @@ type ctx = {
    a serving loop that rebuilds a context per recompile — or a bench that
    builds a fresh env per run — still reuses every enumeration and
    preload frontier already computed.  Sharing is sound because memo
-   values are pure functions of (key, fingerprint) and keys are canonical
-   digests.  Disable with [ELK_COMPILE_CACHE=0] or {!set_memo_sharing}
-   (fresh private tables per context, the pre-cache behavior). *)
+   values are pure functions of (operator, fingerprint) and keys compare
+   every field those functions read.  Disable with [ELK_COMPILE_CACHE=0]
+   or {!set_memo_sharing} (fresh private tables per context, the
+   pre-cache behavior). *)
 let sharing =
   ref (match Sys.getenv_opt "ELK_COMPILE_CACHE" with Some "0" -> false | _ -> true)
 
 let set_memo_sharing v = sharing := v
 let memo_sharing () = !sharing
 
-type shared_store = {
-  s_lock : Mutex.t;
-  s_memo : (string, memo_entry) Hashtbl.t;
-  s_popt : (string, preload_opt list) Hashtbl.t;
-  mutable s_stamp : int;
-}
+type shared_store = { s_lock : Mutex.t; s_memo : op_memo Op_tbl.t; mutable s_stamp : int }
 
 let registry_lock = Mutex.create ()
 let registry : (string, shared_store) Hashtbl.t = Hashtbl.create 8
@@ -72,8 +129,7 @@ let reset_shared_memos () =
   Hashtbl.iter
     (fun _ s ->
       Mutex.lock s.s_lock;
-      Hashtbl.reset s.s_memo;
-      Hashtbl.reset s.s_popt;
+      Op_tbl.reset s.s_memo;
       Mutex.unlock s.s_lock)
     registry;
   Hashtbl.reset registry;
@@ -95,8 +151,7 @@ let make_ctx ?(max_plans_per_op = 512) cost =
          ^ "|" ^ string_of_int max_plans_per_op))
   in
   let fresh () =
-    { s_lock = Mutex.create (); s_memo = Hashtbl.create 64;
-      s_popt = Hashtbl.create 256; s_stamp = 0 }
+    { s_lock = Mutex.create (); s_memo = Op_tbl.create 64; s_stamp = 0 }
   in
   let store =
     if not (memo_sharing ()) then fresh ()
@@ -139,43 +194,20 @@ let make_ctx ?(max_plans_per_op = 512) cost =
     fp;
     lock = store.s_lock;
     memo = store.s_memo;
-    popt_memo = store.s_popt;
   }
 
 let fingerprint ctx = ctx.fp
 
 let memo_sizes ctx =
   Mutex.lock ctx.lock;
-  let sizes = (Hashtbl.length ctx.memo, Hashtbl.length ctx.popt_memo) in
+  let sizes =
+    Op_tbl.fold
+      (fun _ m (e, p) ->
+        ((if Option.is_some m.enum then e + 1 else e), p + Factors_tbl.length m.popts))
+      ctx.memo (0, 0)
+  in
   Mutex.unlock ctx.lock;
   sizes
-
-(* Memo tables are shared across the scheduler domains of the parallel
-   order search, so every access is serialized under [ctx.lock].  The
-   compute itself runs {e outside} the lock: it is a pure function of the
-   key, and [lookup]/[preload_options] are mutually recursive, so holding
-   the (non-reentrant) mutex across it would self-deadlock.  If two
-   domains miss the same key concurrently both compute it; the first
-   insert wins and the duplicate — structurally identical — is dropped. *)
-let memo_find ctx tbl key compute =
-  Mutex.lock ctx.lock;
-  match Hashtbl.find_opt tbl key with
-  | Some v ->
-      Mutex.unlock ctx.lock;
-      v
-  | None ->
-      Mutex.unlock ctx.lock;
-      let v = compute () in
-      Mutex.lock ctx.lock;
-      let v =
-        match Hashtbl.find_opt tbl key with
-        | Some winner -> winner
-        | None ->
-            Hashtbl.add tbl key v;
-            v
-      in
-      Mutex.unlock ctx.lock;
-      v
 
 let ctx_chip ctx = ctx.chip
 let ctx_cost ctx = ctx.cost
@@ -503,9 +535,49 @@ let compute_preload_options ctx (op : Opspec.t) plan =
   end
 
 
+(* The memo is shared across the scheduler domains of the parallel order
+   search, so every access is serialized under [ctx.lock].  A hit takes
+   the lock once: one structural hash of the operator, then a field read
+   or one factors-keyed find.  The compute itself runs {e outside} the
+   lock: it is a pure function of the key, and [lookup]/[popt_entry] are
+   mutually recursive, so holding the (non-reentrant) mutex across it
+   would self-deadlock.  If two domains miss the same key concurrently
+   both compute it; the first to publish wins and the duplicate —
+   structurally identical — is dropped. *)
+
+(* Under [ctx.lock]: the operator's memo record, created empty on first
+   sight. *)
+let op_memo ctx op =
+  match Op_tbl.find_opt ctx.memo op with
+  | Some m -> m
+  | None ->
+      let m = { enum = None; popts = Factors_tbl.create 16 } in
+      Op_tbl.add ctx.memo op m;
+      m
+
+(* Publish a value computed outside the lock unless another domain
+   already did; return the published one. *)
+let publish ctx find add v =
+  Mutex.lock ctx.lock;
+  let v =
+    match find () with
+    | Some winner -> winner
+    | None ->
+        add v;
+        v
+  in
+  Mutex.unlock ctx.lock;
+  v
+
 let rec lookup ctx op =
-  let key = plan_signature op in
-  memo_find ctx ctx.memo key (fun () ->
+  Mutex.lock ctx.lock;
+  let m = op_memo ctx op in
+  match m.enum with
+  | Some e ->
+      Mutex.unlock ctx.lock;
+      e
+  | None ->
+      Mutex.unlock ctx.lock;
       let plans = compute_plans ctx op in
       let frontier =
         Pareto.frontier
@@ -515,23 +587,43 @@ let rec lookup ctx op =
                  List.fold_left
                    (fun a o -> Float.min a (preload_overhead o))
                    infinity
-                   (preload_options ctx op p)
+                   (popt_entry ctx op p).opts
                in
                let overhead = if overhead = infinity then 0. else overhead in
                { Pareto.x = p.exec_space; y = p.exec_time +. overhead; payload = p })
              plans)
       in
-      { plans; frontier })
+      publish ctx
+        (fun () -> m.enum)
+        (fun e -> m.enum <- Some e)
+        { plans; frontier; exec = tradeoff_of_points frontier }
 
-and preload_options ctx op plan =
-  let key =
-    plan_signature op ^ "#"
-    ^ String.concat "," (Array.to_list plan.factors |> List.map string_of_int)
-  in
-  memo_find ctx ctx.popt_memo key (fun () -> compute_preload_options ctx op plan)
+and popt_entry ctx op plan =
+  Mutex.lock ctx.lock;
+  let m = op_memo ctx op in
+  match Factors_tbl.find_opt m.popts plan.factors with
+  | Some e ->
+      Mutex.unlock ctx.lock;
+      e
+  | None ->
+      Mutex.unlock ctx.lock;
+      let opts = compute_preload_options ctx op plan in
+      let popt =
+        tradeoff_of_points
+          (List.map
+             (fun o -> { Pareto.x = o.preload_space; y = preload_overhead o; payload = o })
+             opts)
+      in
+      publish ctx
+        (fun () -> Factors_tbl.find_opt m.popts plan.factors)
+        (Factors_tbl.add m.popts (Array.copy plan.factors))
+        { opts; popt }
 
 let enumerate ctx op = (lookup ctx op).plans
 let exec_frontier ctx op = (lookup ctx op).frontier
+let exec_tradeoff ctx op = (lookup ctx op).exec
+let preload_options ctx op plan = (popt_entry ctx op plan).opts
+let preload_tradeoff ctx op plan = (popt_entry ctx op plan).popt
 
 let fastest_plan ctx op =
   match Pareto.min_y (exec_frontier ctx op) with

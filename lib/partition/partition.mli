@@ -20,8 +20,10 @@
       bytes injected into the interconnect by controllers (scaled by
       broadcast replication).
 
-    Plan enumeration is memoized per operator signature, so the identical
-    layers of an LLM cost one enumeration. *)
+    Plan enumeration and preload options are memoized per operator, keyed
+    on the operator's structure (the fields {!plan_signature} digests, not
+    its name), so the identical layers of an LLM cost one enumeration and
+    a memo hit builds no key. *)
 
 type ctx
 (** Enumeration context: chip, trained cost model, memo tables. *)
@@ -56,7 +58,8 @@ val shared_store_count : unit -> int
 
 val memo_sizes : ctx -> int * int
 (** [(enumeration entries, preload-option entries)] currently memoized in
-    this context's tables — observability for cache-hit accounting. *)
+    this context's tables — observability for cache-hit accounting.  A
+    preload-option entry is one (operator, [plan.factors]) pair. *)
 
 type plan = {
   factors : int array;  (** parts per iteration dimension. *)
@@ -122,7 +125,27 @@ val preload_options : ctx -> Elk_tensor.Opspec.t -> plan -> preload_opt list
 (** Pareto-optimal preload-state options of an execute-state plan
     (Tradeoffs 2-3 of Fig 11), from minimal residency ([frac = 1/g]) to
     full broadcast ([frac = 1]), sorted by increasing [preload_space].
-    Operators with no HBM-resident inputs get a single zero option. *)
+    Operators with no HBM-resident inputs get a single zero option.
+    Memoized per (operator, [plan.factors]). *)
+
+(** {1 Frontiers as arrays}
+
+    The memoized frontiers again, as parallel arrays in the same order —
+    what the allocator's descent indexes.  Built once per memo entry and
+    shared by every caller: treat them as read-only. *)
+
+type 'a tradeoff = {
+  spaces : float array;  (** per-core bytes, ascending. *)
+  times : float array;  (** time cost at each point, descending. *)
+  payloads : 'a array;  (** the plan or option at each point. *)
+}
+
+val exec_tradeoff : ctx -> Elk_tensor.Opspec.t -> plan tradeoff
+(** {!exec_frontier} as arrays. *)
+
+val preload_tradeoff : ctx -> Elk_tensor.Opspec.t -> plan -> preload_opt tradeoff
+(** {!preload_options} as arrays, with [times] the {!preload_overhead}
+    of each option. *)
 
 val plan_with_factors :
   ctx -> Elk_tensor.Opspec.t -> int array -> (plan, string) result
@@ -143,10 +166,12 @@ val inject_rate : Elk_arch.Arch.chip -> float
     [preload_len], exposed for bandwidth-feasibility lints. *)
 
 val plan_signature : Elk_tensor.Opspec.t -> string
-(** Memoization key: a collision-safe digest of kind, iteration extents,
-    input sharing structure, per-point FLOPs and dtype — every field
-    partitioning depends on, length-prefixed so distinct operators cannot
-    collide by separator injection.  Operators from identical layers
-    share a signature. *)
+(** A collision-safe digest of kind, iteration extents, input sharing
+    structure, per-point FLOPs and dtype — every field partitioning
+    depends on, length-prefixed so distinct operators cannot collide by
+    separator injection.  Operators from identical layers share a
+    signature.  The memo compares exactly these fields structurally
+    instead of computing this digest; persistent keys
+    ([Compilecache.node_digest]) embed it. *)
 
 val pp_plan : Format.formatter -> plan -> unit

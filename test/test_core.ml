@@ -76,6 +76,132 @@ let test_min_preload_space_positive_for_weights () =
         (Elk.Alloc.min_preload_space (ctx ()) (Graph.get g id) > 0.))
     heavy
 
+(* The allocator's inputs at step [i] of a scheduled plan: the operators
+   issued but not yet executed, in preload order, with their scheduled
+   plans. *)
+let real_window (s : Elk.Schedule.t) i =
+  let issued = Elk.Residency.issued_counts s in
+  List.filter_map
+    (fun k ->
+      let w = s.Elk.Schedule.order.(k) in
+      if w > i then
+        Some (Graph.get s.Elk.Schedule.graph w, s.Elk.Schedule.entries.(w).Elk.Schedule.plan)
+      else None)
+    (List.init issued.(i) Fun.id)
+
+let test_alloc_total_is_window_fold () =
+  (* [total_space] is the left-to-right sum, execute state first and then
+     the window in order, bit for bit: the capacity check must see the
+     same float the bump-packed extent would. *)
+  List.iter
+    (fun (topo, c, s) ->
+      let s = Lazy.force s and c = Lazy.force c in
+      let cap = Elk_arch.Arch.usable_sram_per_core (P.ctx_chip c) in
+      let checked = ref 0 in
+      for i = 0 to Elk.Schedule.num_ops s - 1 do
+        let window = real_window s i in
+        if window <> [] then
+          match
+            Elk.Alloc.allocate c ~capacity:cap ~exec_op:(Graph.get s.Elk.Schedule.graph i)
+              ~window
+          with
+          | None -> ()
+          | Some r ->
+              incr checked;
+              Alcotest.(check (list int))
+                (topo ^ ": window order kept")
+                (List.map (fun ((n : Graph.node), _) -> n.Graph.id) window)
+                (List.map fst r.Elk.Alloc.window);
+              let fold =
+                List.fold_left
+                  (fun a (_, o) -> a +. o.P.preload_space)
+                  r.Elk.Alloc.exec_plan.P.exec_space r.Elk.Alloc.window
+              in
+              Alcotest.(check int64)
+                (Printf.sprintf "%s: step %d total bits" topo i)
+                (Int64.bits_of_float fold)
+                (Int64.bits_of_float r.Elk.Alloc.total_space)
+      done;
+      Alcotest.(check bool) (topo ^ ": some non-empty windows checked") true (!checked > 0))
+    [ ("a2a", Tu.default_ctx, Tu.tiny_schedule); ("mesh", Tu.mesh_ctx, Tu.mesh_schedule) ]
+
+(* A context with private, empty memo tables over the default cost
+   model. *)
+let private_ctx () =
+  let was = P.memo_sharing () in
+  P.set_memo_sharing false;
+  Fun.protect
+    ~finally:(fun () -> P.set_memo_sharing was)
+    (fun () -> P.make_ctx (P.ctx_cost (ctx ())))
+
+let test_memo_ignores_names () =
+  let c = private_ctx () in
+  let a = Elk_tensor.Opspec.matmul ~name:"layer0.q" ~m:32 ~n:256 ~k:256 () in
+  let b =
+    {
+      a with
+      Elk_tensor.Opspec.name = "layer1.q";
+      inputs =
+        List.map
+          (fun t -> { t with Elk_tensor.Opspec.t_name = "renamed" })
+          a.Elk_tensor.Opspec.inputs;
+    }
+  in
+  let plan = P.fastest_plan c a in
+  ignore (P.preload_options c a plan);
+  let sizes = P.memo_sizes c in
+  Alcotest.(check bool) "memoized" true (fst sizes = 1 && snd sizes > 0);
+  Alcotest.(check bool) "same frontier" true (P.exec_frontier c b == P.exec_frontier c a);
+  Alcotest.(check bool) "same options" true
+    (P.preload_options c b plan == P.preload_options c a plan);
+  Alcotest.(check (pair int int)) "no new entries" sizes (P.memo_sizes c)
+
+let test_memo_factors_scoped_per_op () =
+  (* The same factor vector under two operators that differ only in
+     dtype: the preload spaces differ, so the option entries must too. *)
+  let c = private_ctx () in
+  let fp16 = Elk_tensor.Opspec.matmul ~name:"h" ~m:32 ~n:256 ~k:256 () in
+  let fp32 = { fp16 with Elk_tensor.Opspec.dtype = Elk_tensor.Dtype.Fp32 } in
+  let plan16 = P.fastest_plan c fp16 in
+  let plan32 =
+    match P.plan_with_factors c fp32 plan16.P.factors with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let o16 = P.preload_options c fp16 plan16 in
+  let _, popts = P.memo_sizes c in
+  let o32 = P.preload_options c fp32 plan32 in
+  Alcotest.(check bool) "fp32 options are their own" true
+    (List.map (fun o -> o.P.preload_space) o32
+    = List.map (fun o -> o.P.preload_space) (P.preload_options (private_ctx ()) fp32 plan32));
+  Alcotest.(check bool) "and differ from fp16's" true
+    (List.map (fun o -> o.P.preload_space) o16 <> List.map (fun o -> o.P.preload_space) o32);
+  Alcotest.(check bool) "a new entry" true (snd (P.memo_sizes c) > popts)
+
+let test_alloc_word_budget () =
+  (* Deterministic allocation gate: once the memo is warm, one call on a
+     real llama2-13b window (33 operators) builds no memo key and
+     allocates nothing per descent step.  A capacity 5% under the
+     unconstrained demand forces a descent.  Measured: 1881 words; with
+     digest-keyed memo lookups and per-step packing it was 39113. *)
+  let s = sched () in
+  let c = ctx () in
+  let exec_op = Graph.get s.Elk.Schedule.graph 2 and window = real_window s 2 in
+  Alcotest.(check bool) "non-empty window" true (List.length window >= 16);
+  let call capacity () = Elk.Alloc.allocate c ~capacity ~exec_op ~window in
+  let total capacity =
+    match call capacity () with
+    | Some r -> r.Elk.Alloc.total_space
+    | None -> Alcotest.fail "window must fit"
+  in
+  let tight = 0.95 *. total (capacity ()) in
+  Alcotest.(check bool) "fits after descending" true (total tight <= tight);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (call tight ()));
+  let words = Gc.minor_words () -. before in
+  if words > 2500. then
+    Alcotest.failf "one allocate call allocated %.0f words (budget 2500)" words
+
 (* ------------------------------------------------------------------ *)
 (* Scheduler + Schedule                                               *)
 (* ------------------------------------------------------------------ *)
@@ -409,6 +535,10 @@ let suite =
     ("alloc: pressure slows exec", `Quick, test_alloc_shrinks_under_pressure);
     ("alloc: objective", `Quick, test_alloc_objective_consistent);
     ("alloc: min preload space", `Quick, test_min_preload_space_positive_for_weights);
+    ("alloc: total is the window fold", `Quick, test_alloc_total_is_window_fold);
+    ("alloc: memo ignores names", `Quick, test_memo_ignores_names);
+    ("alloc: memo factors per op", `Quick, test_memo_factors_scoped_per_op);
+    ("alloc: word budget", `Quick, test_alloc_word_budget);
     ("scheduler: schedule validates", `Quick, test_schedule_validates);
     ("scheduler: windows sum", `Quick, test_schedule_windows_sum);
     ("scheduler: entries indexed", `Quick, test_schedule_entries_indexed);

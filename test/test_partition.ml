@@ -221,8 +221,8 @@ let test_signature_digests_full_spec () =
     <> Partition.plan_signature (ew ~dtype:Elk_tensor.Dtype.Fp32 "e3"));
   Alcotest.(check string) "name still ignored" (Partition.plan_signature a)
     (Partition.plan_signature (ew "renamed"));
-  (* Fixed-length hex output: composite memo keys append suffixes to the
-     signature and rely on it never containing separators. *)
+  (* Fixed-length hex output: persistent cache keys embed the signature
+     and rely on it never containing separators. *)
   Alcotest.(check int) "fixed-length digest" 32
     (String.length (Partition.plan_signature a));
   String.iter

@@ -235,7 +235,8 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
     List.concat_map
       (fun row -> List.concat_map (fun (a, b) -> [ (a, 1.); (b, -1.) ]) (link_union row))
       rows
-    |> List.sort (fun (ta, da) (tb, db) -> compare (ta, da) (tb, db))
+    |> List.sort (fun (ta, da) (tb, db) ->
+           match Float.compare ta tb with 0 -> Float.compare da db | c -> c)
   in
   Ts.set series "noc_busy_links" ~time:0. 0.
     ~help:"Links holding at least one reservation";

@@ -9,16 +9,19 @@ type link =
   | Hbm_edge of { ctrl : int; entry : int }
   | L2_fabric
 
-type t = { chip : Arch.chip; rows : int; cols : int }
+type path = { links : int array; latency : float; bottleneck : float; hops : int }
 
-let create chip =
-  (match Arch.validate_chip chip with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Noc.create: " ^ m));
-  match chip.Arch.topology with
-  | Arch.All_to_all | Arch.Clustered _ -> { chip; rows = 1; cols = chip.Arch.cores }
-  | Arch.Mesh2d { rows; cols } -> { chip; rows; cols }
+type t = {
+  chip : Arch.chip;
+  rows : int;
+  cols : int;
+  link_of : link array;  (* by id: the chip's links in compare_link order *)
+  mutable paths : path array;
+      (* by [src node id * cores + dst core], [unknown] until first use;
+         allocated by the first [path] call *)
+}
 
+let unknown = { links = [||]; latency = nan; bottleneck = nan; hops = -1 }
 let chip t = t.chip
 let cores t = t.chip.Arch.cores
 let is_mesh t = match t.chip.Arch.topology with Arch.Mesh2d _ -> true | _ -> false
@@ -122,24 +125,132 @@ let link_bandwidth t = function
 let route_latency t ~src ~dst =
   float_of_int (max 1 (hops t ~src ~dst)) *. t.chip.Arch.intercore_link.Arch.latency
 
-let transfer_time t ~src ~dst ~bytes =
-  if bytes < 0. then invalid_arg "Noc.transfer_time: negative size";
-  if src = dst then 0.
-  else
-    let r = route t ~src ~dst in
-    let bottleneck =
-      List.fold_left (fun bw l -> Float.min bw (link_bandwidth t l)) infinity r
-    in
-    route_latency t ~src ~dst +. (bytes /. bottleneck)
-
-let hbm_ctrl_for_core t c =
-  check_node t (Core c) "hbm_ctrl_for_core";
-  Hbm (c mod t.chip.Arch.hbm_controllers)
-
 (* Structural compare is a total order on this variant (constructor
    declaration order, then field order) — deterministic, independent of
    hash-table layout, and stable across runs and worker counts. *)
 let compare_link (a : link) (b : link) = Stdlib.compare a b
+
+(* ---- dense link table -------------------------------------------------- *)
+
+(* Every link a route can traverse: the core ports and the controller
+   ports of the all-to-all and clustered fabrics (plus the shared L2),
+   or the directed edges, controller entry edges and controller ports of
+   a mesh.  Ids are positions in compare_link order. *)
+let chip_links t =
+  let n = cores t and nc = t.chip.Arch.hbm_controllers in
+  let ctrl_ports = List.init nc (fun h -> Port_out (Hbm h)) in
+  let links =
+    let ports =
+      List.init n (fun c -> Port_in (Core c)) @ List.init n (fun c -> Port_out (Core c))
+    in
+    match t.chip.Arch.topology with
+    | Arch.All_to_all -> ports @ ctrl_ports
+    | Arch.Clustered _ -> (L2_fabric :: ports) @ ctrl_ports
+    | Arch.Mesh2d _ ->
+        let edges =
+          List.concat
+            (List.init n (fun c ->
+                 let r, col = coord t c in
+                 List.filter_map
+                   (fun (r', c') ->
+                     if r' >= 0 && r' < t.rows && c' >= 0 && c' < t.cols then
+                       Some (Edge { from_core = c; to_core = core_at t r' c' })
+                     else None)
+                   [ (r - 1, col); (r, col - 1); (r, col + 1); (r + 1, col) ]))
+        in
+        let entries =
+          List.concat
+            (List.init nc (fun h ->
+                 let row, lo, hi = ctrl_strip t h in
+                 List.init (hi - lo + 1) (fun i ->
+                     Hbm_edge { ctrl = h; entry = core_at t row (lo + i) })))
+        in
+        ctrl_ports @ edges @ entries
+  in
+  let a = Array.of_list links in
+  Array.sort compare_link a;
+  a
+
+let create chip =
+  (match Arch.validate_chip chip with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Noc.create: " ^ m));
+  let rows, cols =
+    match chip.Arch.topology with
+    | Arch.All_to_all | Arch.Clustered _ -> (1, chip.Arch.cores)
+    | Arch.Mesh2d { rows; cols } -> (rows, cols)
+  in
+  let t = { chip; rows; cols; link_of = [||]; paths = [||] } in
+  { t with link_of = chip_links t }
+
+let num_links t = Array.length t.link_of
+
+let link_of_id t id =
+  if id < 0 || id >= num_links t then invalid_arg "Noc.link_of_id: unknown id";
+  t.link_of.(id)
+
+(* Binary search over the canonical order. *)
+let link_id t l =
+  let rec go lo hi =
+    if lo >= hi then invalid_arg "Noc.link_id: not a link of this chip"
+    else
+      let mid = (lo + hi) / 2 in
+      let c = compare_link l t.link_of.(mid) in
+      if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
+  in
+  go 0 (num_links t)
+
+let num_nodes t = cores t + t.chip.Arch.hbm_controllers
+
+let node_id t n =
+  check_node t n "node_id";
+  match n with Core c -> c | Hbm h -> cores t + h
+
+let node_of_id t i =
+  if i < 0 || i >= num_nodes t then invalid_arg "Noc.node_of_id: unknown id";
+  if i < cores t then Core i else Hbm (i - cores t)
+
+let path t ~src ~dst =
+  let n = cores t in
+  if src < 0 || src >= num_nodes t || dst < 0 || dst >= n then
+    invalid_arg "Noc.path: unknown node id";
+  if Array.length t.paths = 0 then t.paths <- Array.make (num_nodes t * n) unknown;
+  let k = (src * n) + dst in
+  let p = t.paths.(k) in
+  if p.hops >= 0 then p
+  else begin
+    let r = route t ~src:(node_of_id t src) ~dst:(Core dst) in
+    let hops = List.length r in
+    let p =
+      {
+        links = Array.of_list (List.map (link_id t) r);
+        latency = float_of_int (max 1 hops) *. t.chip.Arch.intercore_link.Arch.latency;
+        bottleneck =
+          List.fold_left (fun bw l -> Float.min bw (link_bandwidth t l)) infinity r;
+        hops;
+      }
+    in
+    t.paths.(k) <- p;
+    p
+  end
+
+let path_time p ~bytes =
+  if p.hops = 0 then 0. else p.latency +. (bytes /. p.bottleneck)
+
+let core_path t ~src ~dst =
+  match dst with
+  | Core d -> path t ~src:(node_id t src) ~dst:d
+  | Hbm _ ->
+      check_node t dst "route";
+      invalid_arg "Noc.route: HBM controllers only send"
+
+let transfer_time t ~src ~dst ~bytes =
+  if bytes < 0. then invalid_arg "Noc.transfer_time: negative size";
+  if src = dst then 0. else path_time (core_path t ~src ~dst) ~bytes
+
+let hbm_ctrl_for_core t c =
+  check_node t (Core c) "hbm_ctrl_for_core";
+  Hbm (c mod t.chip.Arch.hbm_controllers)
 
 let link_name (l : link) =
   match l with
@@ -154,36 +265,45 @@ let link_name (l : link) =
 module Load = struct
   type loads = {
     noc : t;
-    volumes : (link, float ref) Hashtbl.t;
+    volumes : float array;  (* by link id *)
+    touched : bool array;  (* by link id: some transfer crossed it *)
     mutable total : float;
     mutable worst_latency : float;
   }
 
-  let create noc = { noc; volumes = Hashtbl.create 64; total = 0.; worst_latency = 0. }
+  let create noc =
+    let n = num_links noc in
+    { noc; volumes = Array.make n 0.; touched = Array.make n false; total = 0.;
+      worst_latency = 0. }
 
   let add l ~src ~dst ~bytes =
     if bytes < 0. then invalid_arg "Noc.Load.add: negative size";
-    let r = route l.noc ~src ~dst in
-    List.iter
-      (fun link ->
-        match Hashtbl.find_opt l.volumes link with
-        | Some v -> v := !v +. bytes
-        | None -> Hashtbl.add l.volumes link (ref bytes))
-      r;
+    let p = core_path l.noc ~src ~dst in
+    Array.iter
+      (fun id ->
+        if l.touched.(id) then l.volumes.(id) <- l.volumes.(id) +. bytes
+        else begin
+          l.touched.(id) <- true;
+          l.volumes.(id) <- bytes
+        end)
+      p.links;
     l.total <- l.total +. bytes;
-    if r <> [] then
-      l.worst_latency <- Float.max l.worst_latency (route_latency l.noc ~src ~dst)
+    if p.hops > 0 then l.worst_latency <- Float.max l.worst_latency p.latency
 
   let volume_on l link =
-    match Hashtbl.find_opt l.volumes link with Some v -> !v | None -> 0.
+    match link_id l.noc link with
+    | id -> l.volumes.(id)
+    | exception Invalid_argument _ -> 0.
 
-  (* Canonical iteration over per-link volumes: sorted by {!compare_link}
-     so every consumer (busiest link, profiles, reports) sees links in
-     one deterministic order, whatever the hash-table layout. *)
+  (* Canonical iteration over per-link volumes: ascending link id, which
+     is {!compare_link} order, so every consumer (busiest link, profiles,
+     reports) sees links in one deterministic order. *)
   let fold l f init =
-    Hashtbl.fold (fun link v acc -> (link, !v) :: acc) l.volumes []
-    |> List.sort (fun (a, _) (b, _) -> compare_link a b)
-    |> List.fold_left (fun acc (link, vol) -> f acc link vol) init
+    let acc = ref init in
+    Array.iteri
+      (fun id touched -> if touched then acc := f !acc l.noc.link_of.(id) l.volumes.(id))
+      l.touched;
+    !acc
 
   let total_volume l = l.total
 
@@ -214,13 +334,10 @@ module Load = struct
           if is_mesh l.noc then
             (* On a mesh the port view does not exist; approximate each
                core's port load by the traffic on its outgoing edges. *)
-            List.fold_left ( +. ) 0.
-              (List.filter_map
-                 (fun link ->
-                   match link with
-                   | Edge { from_core; _ } when from_core = c -> Some (volume_on l link)
-                   | _ -> None)
-                 (Hashtbl.fold (fun k _ acc -> k :: acc) l.volumes []))
+            fold l
+              (fun acc link v ->
+                match link with Edge { from_core; _ } when from_core = c -> acc +. v | _ -> acc)
+              0.
           else volume_on l (Port_in (Core c)) +. volume_on l (Port_out (Core c))
         in
         let bw = l.noc.chip.Arch.intercore_link.Arch.bandwidth in

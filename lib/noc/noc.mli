@@ -70,6 +70,46 @@ val compare_link : link -> link -> int
 (** A total order on links — the canonical ordering used by
     {!Load.fold}, deterministic across runs and worker counts. *)
 
+(** {2 Dense link table}
+
+    Every link of the chip has an integer id, and ids ascend in
+    {!compare_link} order.  The links are those a route can traverse:
+    core ports, controller ports and (clustered chips) the L2 fabric;
+    on a mesh, the directed edges, controller entry edges and
+    controller ports.  Nodes have ids too: [Core c] is [c], [Hbm h] is
+    [cores + h].  Per (source, destination core) pair the table
+    memoizes the route as link ids, filled on first use, so
+    {!create} stays cheap and a simulator walks routes without
+    rebuilding them. *)
+
+val num_links : t -> int
+
+val link_id : t -> link -> int
+(** Raises [Invalid_argument] if the link is not one of the chip's. *)
+
+val link_of_id : t -> int -> link
+
+val node_id : t -> node -> int
+(** Raises [Invalid_argument] on an unknown node. *)
+
+val node_of_id : t -> int -> node
+
+type path = private {
+  links : int array;  (** link ids in route order. *)
+  latency : float;  (** {!route_latency}. *)
+  bottleneck : float;
+      (** least raw {!link_bandwidth} along the route; [infinity] for
+          the empty route. *)
+  hops : int;  (** {!hops}. *)
+}
+
+val path : t -> src:int -> dst:int -> path
+(** The memoized route from node id [src] to core [dst].  Raises
+    [Invalid_argument] on an unknown id. *)
+
+val path_time : path -> bytes:float -> float
+(** {!transfer_time} over a path: 0 for the empty route. *)
+
 val link_name : link -> string
 (** Stable human-readable name, e.g. ["port_in(core 3)"],
     ["edge(3->4)"], ["hbm_edge(0->12)"]. *)
@@ -85,9 +125,10 @@ module Load : sig
   val volume_on : loads -> link -> float
 
   val fold : loads -> ('a -> link -> float -> 'a) -> 'a -> 'a
-  (** [fold l f init] folds [f] over every (link, volume) pair in the
-      canonical {!compare_link} order — deterministic whatever the
-      insertion order, so consumers never re-enumerate links by hand.
+  (** [fold l f init] folds [f] over every (link, volume) pair of the
+      links some transfer crossed, by ascending link id — the canonical
+      {!compare_link} order, whatever the insertion order, so consumers
+      never re-enumerate links by hand.
       {!busiest} and {!makespan} are folds over this. *)
 
   val total_volume : loads -> float

@@ -6,7 +6,9 @@
     route record — (class, operator, src, dst, bytes, hops, queueing
     wait, envelope).  Per-link volumes, class breakdowns, busy
     intervals, hop histograms and utilization timelines are all derived
-    on demand, so recording is a list cons per booking; like every
+    on demand, so recording is a list cons per booking.  The per-link
+    busy intervals and per-operator waits come from indexes built in
+    one pass on the first query after recording.  Like every
     {!Probe} it is pure bookkeeping, never read back into any timing
     computation (the cram suite checks simulated output is
     byte-identical with recording on and off). *)
@@ -49,7 +51,8 @@ val busy_intervals :
   t -> link:Elk_noc.Noc.link -> (float * float) list * (float * float) list
 (** One link's busy intervals, chronological: (preload class,
     distribute+exchange class).  Within a class, intervals never
-    overlap — the fabric serializes bookings per link. *)
+    overlap — the fabric serializes bookings per link.  Empty for a link
+    the chip does not have. *)
 
 val class_bytes : t -> cls:cls -> float
 (** Transfer bytes of one class, counted once per transfer. *)

@@ -17,6 +17,11 @@ val add : t -> t_start:float -> t_end:float -> volume:float -> unit
     Zero-length intervals attribute the whole volume to the instant
     [t_start].  Raises [Invalid_argument] if [t_end < t_start]. *)
 
+val add_from : t -> float array -> int -> unit
+(** [add_from t a i] is [add t ~t_start:a.(i) ~t_end:a.(i+1)
+    ~volume:a.(i+2)] with no float boxed on the way: a loop recording
+    many contributions writes them to a scratch array first. *)
+
 val horizon : t -> float * float
 (** [(min_t, max_t)] over all contributions; [(0., 0.)] when empty. *)
 

@@ -280,8 +280,69 @@ let test_cluster_l2_serializes () =
   done;
   Tu.check_float "L2 carries all" 8e6 (Noc.Load.volume_on l Noc.L2_fabric)
 
+(* ---- dense link table ---------------------------------------------- *)
+
+let table_chips () = [ ("a2a", a2a ()); ("mesh", mesh ()); ("clustered", clustered ()) ]
+
+let test_link_ids_bijective () =
+  List.iter
+    (fun (name, t) ->
+      let n = Noc.num_links t in
+      Alcotest.(check bool) (name ^ ": has links") true (n > 0);
+      for id = 0 to n - 1 do
+        Alcotest.(check int) (name ^ ": id round-trips") id (Noc.link_id t (Noc.link_of_id t id))
+      done;
+      let distinct = List.sort_uniq Noc.compare_link (List.init n (Noc.link_of_id t)) in
+      Alcotest.(check int) (name ^ ": links distinct") n (List.length distinct))
+    (table_chips ())
+
+let test_link_ids_canonical () =
+  List.iter
+    (fun (name, t) ->
+      for id = 1 to Noc.num_links t - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: id %d after id %d" name id (id - 1))
+          true
+          (Noc.compare_link (Noc.link_of_id t (id - 1)) (Noc.link_of_id t id) < 0)
+      done)
+    (table_chips ())
+
+(* Every memoized path agrees with the list-based route, hop count and
+   latency, and its bottleneck is the route's least link bandwidth. *)
+let test_paths_match_routes () =
+  List.iter
+    (fun (name, t) ->
+      let chip = Noc.chip t in
+      let nodes =
+        List.init chip.Arch.cores (fun c -> Noc.Core c)
+        @ List.init chip.Arch.hbm_controllers (fun h -> Noc.Hbm h)
+      in
+      List.iter
+        (fun src ->
+          for d = 0 to chip.Arch.cores - 1 do
+            let dst = Noc.Core d in
+            let p = Noc.path t ~src:(Noc.node_id t src) ~dst:d in
+            let r = Noc.route t ~src ~dst in
+            let label = Printf.sprintf "%s: %s" name (Noc.link_name (Noc.Port_out src)) in
+            Alcotest.(check (list int)) (label ^ " links")
+              (List.map (Noc.link_id t) r) (Array.to_list p.Noc.links);
+            Alcotest.(check int) (label ^ " hops") (Noc.hops t ~src ~dst) p.Noc.hops;
+            Alcotest.(check bool) (label ^ " latency") true
+              (Noc.route_latency t ~src ~dst = p.Noc.latency);
+            Alcotest.(check bool) (label ^ " bottleneck") true
+              (List.fold_left (fun bw l -> Float.min bw (Noc.link_bandwidth t l)) infinity r
+              = p.Noc.bottleneck);
+            Alcotest.(check bool) (label ^ " memoized") true
+              (Noc.path t ~src:(Noc.node_id t src) ~dst:d == p)
+          done)
+        nodes)
+    (table_chips ())
+
 let suite =
   [
+    ("noc: link ids are a bijection", `Quick, test_link_ids_bijective);
+    ("noc: link ids follow compare_link", `Quick, test_link_ids_canonical);
+    ("noc: memoized paths match routes", `Quick, test_paths_match_routes);
     ("noc: rejects invalid chip", `Quick, test_create_rejects_invalid);
     ("noc: node validation", `Quick, test_validate_node);
     ("noc: all-to-all route", `Quick, test_a2a_route);

@@ -150,8 +150,85 @@ let test_recorder_subsets () =
   check_recorder_subsets "mesh" mctx
     (Elk.Scheduler.run mctx (Lazy.force Tu.tiny_llama_chip_graph))
 
+(* ---- bit-exact pins ------------------------------------------------ *)
+
+(* Simulated totals and breakdowns pinned as hex floats, recorded before
+   the simulator moved onto the dense link table: any change in a float
+   fold's operand order shows up here.  The 2- and 3-core all-to-all
+   chips have more HBM controllers (4) than cores. *)
+let small_graph =
+  lazy
+    (let cfg = Elk_model.Zoo.scale Elk_model.Zoo.llama2_13b ~factor:64 ~layer_factor:20 in
+     Elk_model.Zoo.build cfg (Elk_model.Zoo.Decode { batch = 4; ctx = 64 }))
+
+let pinned_run topology cores graph =
+  let e = Elk_dse.Dse.env ~topology ~cores () in
+  let s = Elk.Scheduler.run e.Elk_dse.Dse.ctx graph in
+  (e.Elk_dse.Dse.ctx, s, Sim.run e.Elk_dse.Dse.ctx s)
+
+let check_pin name (r : Sim.result) ~total ~bd:(pre, exe, both, ic) =
+  let hex = Printf.sprintf "%h" in
+  let b = r.Sim.bd in
+  Alcotest.(check (list string))
+    (name ^ ": total and breakdown")
+    [ total; pre; exe; both; ic ]
+    (List.map hex
+       [ r.Sim.total; b.Elk.Timeline.preload_only; b.Elk.Timeline.execute_only;
+         b.Elk.Timeline.overlapped; b.Elk.Timeline.interconnect ])
+
+let test_pins_small_chips () =
+  let g = Lazy.force small_graph in
+  let pin name topology cores ~total ~bd =
+    let _, _, r = pinned_run topology cores g in
+    check_pin name r ~total ~bd
+  in
+  pin "a2a 2 cores" `All_to_all 2 ~total:"0x1.bd7b1614fcfc4p-13"
+    ~bd:("0x1.05a03935735a4p-13", "0x0p+0", "0x1.62e90cf0934cep-14", "0x1.1ba93ed63c29dp-18");
+  pin "a2a 3 cores" `All_to_all 3 ~total:"0x1.9d3ae221241abp-14"
+    ~bd:("0x1.212df473e22b8p-17", "0x0p+0", "0x1.6c4876c427de3p-14", "0x1.e9f89787d85e4p-19");
+  pin "mesh 2 cores" `Mesh 2 ~total:"0x1.ba4e6ed7f974bp-11"
+    ~bd:("0x1.8d5f7fc65e391p-11", "0x1.789c9507195p-19", "0x1.5bb293e4a1129p-14", "0x0p+0");
+  pin "mesh 4 cores" `Mesh 4 ~total:"0x1.07012af1bd1d2p-11"
+    ~bd:("0x1.b63048faf7522p-12", "0x1.070d7eb47da99p-19", "0x1.55664113978f2p-14",
+         "0x1.a98698d024338p-22")
+
+(* A clustered (GPU-style) chip: no committed snapshot covers the L2
+   fabric, so its total and the whole interconnect report are pinned. *)
+let test_pin_clustered () =
+  let ctx, s, r = pinned_run `Gpu 16 (Lazy.force Tu.tiny_llama_chip_graph) in
+  Alcotest.(check string) "gpu 16 cores: total" "0x1.bcf9d3d89316p-13"
+    (Printf.sprintf "%h" r.Sim.total);
+  let rep = Elk_analyze.Nocprof.analyze s (Sim.run ~noc:true ctx s) in
+  Alcotest.(check string) "gpu 16 cores: Nocprof.to_json digest"
+    "6dbb3d417a4ed7348f96ddb49ba11b89"
+    (Digest.to_hex (Digest.string (Elk_analyze.Nocprof.to_json rep)))
+
+(* Deterministic allocation gate, in the style of [alloc: word budget]:
+   one plain run of the 45-operator tiny llama2-13b schedule, after a
+   first run has memoized the chip's routes and compute skews.
+   Measured: 28175 (a2a) and 32155 (mesh) minor words; with hash-table
+   fabrics, route lists and cons-list series they were 218244 and
+   924498. *)
+let test_word_budget () =
+  let words ctx s =
+    ignore (Sim.run ctx s);
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Sim.run ctx s));
+    Gc.minor_words () -. before
+  in
+  let mctx = Lazy.force Tu.mesh_ctx in
+  let a = words (ctx ()) (sched ()) and m = words mctx (Lazy.force Tu.mesh_schedule) in
+  List.iter
+    (fun (name, w) ->
+      if w > 40000. then
+        Alcotest.failf "%s: one Sim.run allocated %.0f words (budget 40000)" name w)
+    [ ("a2a", a); ("mesh", m) ]
+
 let suite =
   [
+    ("sim: word budget", `Quick, test_word_budget);
+    ("sim: small-chip pins", `Quick, test_pins_small_chips);
+    ("sim: clustered pin", `Quick, test_pin_clustered);
     ("sim: positive total", `Quick, test_total_positive);
     ("sim: every recorder subset bit-identical", `Quick, test_recorder_subsets);
     ("sim: executes sequential", `Quick, test_executes_sequential);

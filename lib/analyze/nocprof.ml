@@ -32,6 +32,7 @@ let drift_eps = 1e-6
 
 type link_row = {
   l_link : N.link;
+  l_id : int;  (* dense link id *)
   l_name : string;
   l_bandwidth : float;  (* raw capacity, B/s *)
   l_volume : float;  (* dynamic booked bytes *)
@@ -109,16 +110,43 @@ let static_load noc (s : Elk.Schedule.t) =
 
 let series_of_link name = "noc_link_util:" ^ name
 
-(* Merge intervals into their union (inputs sorted by start). *)
-let union_intervals ivs =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (a, b) :: rest -> (
-        match acc with
-        | (ca, cb) :: tl when a <= cb -> go ((ca, Float.max cb b) :: tl) rest
-        | _ -> go ((a, b) :: acc) rest)
-  in
-  go [] (List.sort (fun (a, _) (b, _) -> Float.compare a b) ivs)
+(* One link's utilization gauge: 0 from time 0, then 1 over each
+   interval of its busy-interval union. *)
+let link_gauge (b : Nt.busy) =
+  let m = Array.length b.Nt.union_start in
+  let times = Array.make ((2 * m) + 1) 0. and values = Array.make ((2 * m) + 1) 0. in
+  for k = 0 to m - 1 do
+    times.((2 * k) + 1) <- b.Nt.union_start.(k);
+    values.((2 * k) + 1) <- 1.;
+    times.((2 * k) + 2) <- b.Nt.union_end.(k)
+  done;
+  (times, values)
+
+(* The busy-link count over time, from 0 at time 0: every link's
+   busy-interval union starts and ends, each set sorted, swept in one
+   merge.  At equal times ends go before starts, so a link handing over
+   to another at one instant never counts twice. *)
+let busy_links_gauge unions =
+  let starts = Array.concat (List.map (fun (b : Nt.busy) -> b.Nt.union_start) unions) in
+  let ends = Array.concat (List.map (fun (b : Nt.busy) -> b.Nt.union_end) unions) in
+  Elk_util.Fsort.sort starts;
+  Elk_util.Fsort.sort ends;
+  let m = Array.length starts in
+  let times = Array.make ((2 * m) + 1) 0. and values = Array.make ((2 * m) + 1) 0. in
+  let i = ref 0 and j = ref 0 in
+  for k = 1 to 2 * m do
+    if !j = m || (!i < m && starts.(!i) < ends.(!j)) then begin
+      times.(k) <- starts.(!i);
+      values.(k) <- values.(k - 1) +. 1.;
+      incr i
+    end
+    else begin
+      times.(k) <- ends.(!j);
+      values.(k) <- values.(k - 1) -. 1.;
+      incr j
+    end
+  done;
+  (times, values)
 
 let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
     (r : Elk_sim.Sim.result) =
@@ -147,6 +175,7 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
       (fun (st : Nt.link_stat) ->
         {
           l_link = st.Nt.ls_link;
+          l_id = st.Nt.ls_id;
           l_name = N.link_name st.Nt.ls_link;
           l_bandwidth = st.Nt.ls_bandwidth;
           l_volume = st.Nt.ls_volume;
@@ -216,37 +245,15 @@ let analyze ?window ?(top_series = 5) (s : Elk.Schedule.t)
   in
   let series = Ts.create ~window () in
   let top_links = List.filteri (fun i _ -> i < top_series) hot in
-  let link_union row =
-    let pre, exch = Nt.busy_intervals trace ~link:row.l_link in
-    union_intervals (pre @ exch)
-  in
   List.iter
     (fun row ->
-      let name = series_of_link row.l_name in
-      Ts.set series name ~time:0. 0.
-        ~help:("Busy fraction of " ^ row.l_name ^ " over time");
-      List.iter
-        (fun (a, b) ->
-          Ts.set series name ~time:a 1.;
-          Ts.set series name ~time:b 0.)
-        (link_union row))
+      let times, values = link_gauge (Nt.busy trace ~id:row.l_id) in
+      Ts.set_steps series (series_of_link row.l_name) ~times ~values
+        ~help:("Busy fraction of " ^ row.l_name ^ " over time"))
     top_links;
-  let busy_events =
-    List.concat_map
-      (fun row -> List.concat_map (fun (a, b) -> [ (a, 1.); (b, -1.) ]) (link_union row))
-      rows
-    |> List.sort (fun (ta, da) (tb, db) ->
-           match Float.compare ta tb with 0 -> Float.compare da db | c -> c)
-  in
-  Ts.set series "noc_busy_links" ~time:0. 0.
+  let times, values = busy_links_gauge (List.map (fun row -> Nt.busy trace ~id:row.l_id) rows) in
+  Ts.set_steps series "noc_busy_links" ~times ~values
     ~help:"Links holding at least one reservation";
-  ignore
-    (List.fold_left
-       (fun level (t, d) ->
-         let level = level +. d in
-         Ts.set series "noc_busy_links" ~time:t level;
-         level)
-       0. busy_events);
   let series_names =
     List.map (fun row -> series_of_link row.l_name) top_links
     @ [ "noc_busy_links" ]
@@ -349,21 +356,20 @@ let check rep =
     | None -> Ok ()
   in
   let* () =
-    let overlapping label ivs =
-      let rec go = function
-        | (_, b) :: (((a2, _) :: _) as rest) ->
-            a2 < b -. (drift_eps *. Float.max 1. rep.total) || go rest
-        | _ -> false
-      in
-      if go ivs then Some label else None
+    (* Relative to the makespan: a flat floor would let every overlap
+       shorter than it pass on a sub-second run. *)
+    let tol = drift_eps *. rep.total in
+    let overlapping starts ends =
+      let rec go k = k < Array.length starts && (starts.(k) < ends.(k - 1) -. tol || go (k + 1)) in
+      go 1
     in
     let overlap =
       List.find_map
         (fun row ->
-          let pre, exch = Nt.busy_intervals rep.trace ~link:row.l_link in
-          match overlapping "preload" pre with
-          | Some cls -> Some (row.l_name, cls)
-          | None -> Option.map (fun cls -> (row.l_name, cls)) (overlapping "exchange" exch))
+          let b = Nt.busy rep.trace ~id:row.l_id in
+          if overlapping b.Nt.pre_start b.Nt.pre_end then Some (row.l_name, "preload")
+          else if overlapping b.Nt.exch_start b.Nt.exch_end then Some (row.l_name, "exchange")
+          else None)
         rep.rows
     in
     match overlap with

@@ -17,6 +17,7 @@
 
 type link_row = {
   l_link : Elk_noc.Noc.link;
+  l_id : int;  (** dense link id ({!Elk_noc.Noc.link_id}). *)
   l_name : string;
   l_bandwidth : float;  (** raw capacity, B/s. *)
   l_volume : float;  (** dynamic booked bytes. *)

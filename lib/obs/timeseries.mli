@@ -4,8 +4,13 @@
     "over time": queue depth, throughput, rolling latency percentiles.
     A [t] holds named series; each series is a ring of fixed-width
     windows laid edge to edge from [t = 0].  Recording appends a
-    timestamped event; all aggregation happens at export time, entirely
-    deterministically (simulated timestamps in, pure folds out).
+    timestamped event to the series' two growable float arrays (times
+    and values, unboxed) and notes whether events still arrive in time
+    order.  All aggregation happens at export time, entirely
+    deterministically (simulated timestamps in, pure folds out): the
+    events are put in time order — as recorded when they arrived in
+    order, else by a stable sort, so same-time events keep their
+    recording order — and each window folds its index range.
 
     Window semantics are half-open: window [i] covers
     [[i*window, (i+1)*window)], so a sample landing exactly on an edge
@@ -33,6 +38,13 @@ val add : t -> ?help:string -> string -> time:float -> float -> unit
 val set : t -> ?help:string -> string -> time:float -> float -> unit
 (** Record a gauge change: the series holds the new value from [time]
     until the next change (piecewise constant). *)
+
+val set_steps :
+  t -> ?help:string -> string -> times:float array -> values:float array -> unit
+(** {!set} of every [(times.(k), values.(k))] in turn, with the series'
+    storage grown once to fit them all and no float boxed on the way.
+    Raises [Invalid_argument] as {!set} does, or if the arrays differ in
+    length; nothing is recorded then.  Empty arrays record nothing. *)
 
 val observe : t -> ?help:string -> string -> time:float -> float -> unit
 (** Record one sample into histogram series [name]'s window at [time]. *)

@@ -3,18 +3,20 @@
    The flow model books every transfer onto the links of its route (the
    two fluid fabrics serialize bookings per link within each traffic
    class).  When recording is on, each booking is mirrored here twice:
-   once per link touched — (class, op, link, bytes, busy interval), the
-   exact reservation the fabric made — and once per transfer — (class,
-   op, src, dst, bytes, hops, queueing wait, envelope).  Everything else
-   (per-link volumes and busy time, class breakdowns, hop histograms,
-   utilization timelines) is derived on demand from those records, so
-   recording itself is a list cons per booking.  The two per-key lookups
-   an analysis repeats — one link's busy intervals, one operator's
-   largest wait — read indexes built in one pass on the first query
-   after recording.  Like every Probe, the recorder
-   is pure bookkeeping: nothing here is ever read back into a timing
-   computation (the cram suite checks simulated output is
-   byte-identical with recording on and off). *)
+   once per link touched — (class, op, link id, bytes, busy interval),
+   the exact reservation the fabric made — and once per transfer —
+   (class, op, src, dst, bytes, hops, queueing wait, envelope).
+
+   Bookings are the bulk of the record, so they are stored as columns:
+   per booking three ints and three unboxed floats, in fixed-size chunks
+   that are filled and never copied.  Everything else (per-link volumes
+   and busy time, class breakdowns, hop histograms, utilization
+   timelines) is derived on demand.  The two per-key lookups an analysis
+   repeats — one link's busy intervals, one operator's largest wait —
+   read indexes built in one pass on the first query after recording.
+   Like every Probe, the recorder is pure bookkeeping: nothing here is
+   ever read back into a timing computation (the cram suite checks
+   simulated output is byte-identical with recording on and off). *)
 
 module N = Elk_noc.Noc
 
@@ -24,23 +26,68 @@ type transfer = Probe.transfer
 
 open Probe
 
-type intervals = (float * float) list
+let cls_index = function Preload -> 0 | Distribute -> 1 | Exchange -> 2
+let cls_of_index = function 0 -> Preload | 1 -> Distribute | _ -> Exchange
+
+(* One link's busy intervals as parallel start/end arrays: each class in
+   chronological order, and the union of the two classes. *)
+type busy = {
+  pre_start : float array;
+  pre_end : float array;
+  exch_start : float array;
+  exch_end : float array;
+  union_start : float array;
+  union_end : float array;
+}
+
+let idle =
+  { pre_start = [||]; pre_end = [||]; exch_start = [||]; exch_end = [||];
+    union_start = [||]; union_end = [||] }
+
+(* Bookings per chunk.  Booking [i] sits in chunk [i / chunk] at slot
+   [i mod chunk]: ints (op, link id, class) at [3 * slot], floats
+   (bytes, start, end) at [3 * slot]. *)
+let chunk = 256
 
 type t = {
   noc : N.t;
-  mutable bookings : booking list;  (* reverse emission order *)
+  mutable n_bookings : int;
+  mutable ints : int array array;  (* chunks in emission order *)
+  mutable floats : float array array;
   mutable transfers : transfer list;  (* reverse emission order *)
   mutable n_transfers : int;
-  mutable busy : (intervals * intervals) array option;
+  mutable busy : busy array option;
       (* by link id; dropped by every new booking *)
   mutable waits : float array option;
       (* by [op * 3 + class]; dropped by every new transfer *)
 }
 
 let create noc =
-  { noc; bookings = []; transfers = []; n_transfers = 0; busy = None; waits = None }
+  { noc; n_bookings = 0; ints = [||]; floats = [||]; transfers = []; n_transfers = 0;
+    busy = None; waits = None }
 let noc t = t.noc
 let num_transfers t = t.n_transfers
+
+let record_booking t b =
+  let c = t.n_bookings / chunk and k = 3 * (t.n_bookings mod chunk) in
+  if k = 0 then begin
+    if c = Array.length t.ints then begin
+      let grow a fill = Array.append a (Array.make (max 4 c) fill) in
+      t.ints <- grow t.ints [||];
+      t.floats <- grow t.floats [||]
+    end;
+    t.ints.(c) <- Array.make (3 * chunk) 0;
+    t.floats.(c) <- Array.make (3 * chunk) 0.
+  end;
+  let ints = t.ints.(c) and floats = t.floats.(c) in
+  ints.(k) <- b.b_op;
+  ints.(k + 1) <- b.b_link;
+  ints.(k + 2) <- cls_index b.b_cls;
+  floats.(k) <- b.b_bytes;
+  floats.(k + 1) <- b.b_start;
+  floats.(k + 2) <- b.b_end;
+  t.n_bookings <- t.n_bookings + 1;
+  t.busy <- None
 
 let probe t =
   {
@@ -49,10 +96,7 @@ let probe t =
     links =
       Some
         {
-          booking =
-            (fun b ->
-              t.bookings <- b :: t.bookings;
-              t.busy <- None);
+          booking = record_booking t;
           transfer =
             (fun tr ->
               t.transfers <- tr :: t.transfers;
@@ -63,14 +107,26 @@ let probe t =
 
 (* ---- derived views ---------------------------------------------------- *)
 
-let cls_index = function Preload -> 0 | Distribute -> 1 | Exchange -> 2
+(* Visit every booking in emission order: [f ints floats k] reads its
+   fields at [ints.(k ..)] and [floats.(k ..)]. *)
+let iter_bookings t f =
+  for i = 0 to t.n_bookings - 1 do
+    f t.ints.(i / chunk) t.floats.(i / chunk) (3 * (i mod chunk))
+  done
 
-let bookings t = Array.of_list (List.rev t.bookings)
+let bookings t =
+  Array.init t.n_bookings (fun i ->
+      let ints = t.ints.(i / chunk) and floats = t.floats.(i / chunk) in
+      let k = 3 * (i mod chunk) in
+      { b_cls = cls_of_index ints.(k + 2); b_op = ints.(k); b_link = ints.(k + 1);
+        b_bytes = floats.(k); b_start = floats.(k + 1); b_end = floats.(k + 2) })
+
 let transfers t = Array.of_list (List.rev t.transfers)
 
 (* Per-link aggregate, derived on demand. *)
 type link_stat = {
   ls_link : N.link;
+  ls_id : int;  (* dense link id *)
   ls_bandwidth : float;  (* raw link capacity, B/s *)
   ls_volume : float;  (* total booked bytes *)
   ls_preload : float;  (* booked bytes, preload class *)
@@ -90,22 +146,20 @@ let link_stats t =
   let n = N.num_links t.noc in
   let volume = Array.make n 0. and busy = Array.make n 0. in
   let by_cls = Array.make (3 * n) 0. and count = Array.make n 0 in
-  List.iter
-    (fun b ->
-      let id = N.link_id t.noc b.b_link in
-      let k = (3 * id) + cls_index b.b_cls in
-      volume.(id) <- volume.(id) +. b.b_bytes;
-      by_cls.(k) <- by_cls.(k) +. b.b_bytes;
-      busy.(id) <- busy.(id) +. Float.max 0. (b.b_end -. b.b_start);
-      count.(id) <- count.(id) + 1)
-    (List.rev t.bookings);
+  iter_bookings t (fun ints floats k ->
+      let id = ints.(k + 1) in
+      let c = (3 * id) + ints.(k + 2) in
+      volume.(id) <- volume.(id) +. floats.(k);
+      by_cls.(c) <- by_cls.(c) +. floats.(k);
+      busy.(id) <- busy.(id) +. Float.max 0. (floats.(k + 2) -. floats.(k + 1));
+      count.(id) <- count.(id) + 1);
   (* Ascending ids are the canonical order. *)
   let stats = ref [] in
   for id = n - 1 downto 0 do
     if count.(id) > 0 then
       let link = N.link_of_id t.noc id in
       stats :=
-        { ls_link = link; ls_bandwidth = N.link_bandwidth t.noc link;
+        { ls_link = link; ls_id = id; ls_bandwidth = N.link_bandwidth t.noc link;
           ls_volume = volume.(id); ls_preload = by_cls.(3 * id);
           ls_distribute = by_cls.((3 * id) + 1); ls_exchange = by_cls.((3 * id) + 2);
           ls_busy = busy.(id); ls_bookings = count.(id) }
@@ -113,53 +167,130 @@ let link_stats t =
   done;
   !stats
 
-(* Busy intervals of every link, chronological, one list per class. *)
+(* Put one class's intervals, filled in emission order, in start order.
+   The fabric books each link in time order, so this is almost always
+   the identity; otherwise a stable sort, as a list sort would give. *)
+let chronological starts ends =
+  if Elk_util.Fsort.is_sorted starts then (starts, ends)
+  else Elk_util.Fsort.sort_with starts ends (Array.length starts)
+
+(* The union of the two classes' intervals: merge them by start (preload
+   first at equal starts), then fold each interval that starts before
+   the current one ends into it.  Written into [us]/[ue] when they are
+   not empty; returns the number of union intervals either way. *)
+let union_into b us ue =
+  let write = Array.length us > 0 in
+  let np = Array.length b.pre_start and nx = Array.length b.exch_start in
+  let i = ref 0 and j = ref 0 and n = ref 0 in
+  let cs = ref 0. and ce = ref 0. in
+  while !i < np || !j < nx do
+    let pre = !j >= nx || (!i < np && b.pre_start.(!i) <= b.exch_start.(!j)) in
+    let s = if pre then b.pre_start.(!i) else b.exch_start.(!j) in
+    let e = if pre then b.pre_end.(!i) else b.exch_end.(!j) in
+    if pre then incr i else incr j;
+    if !n > 0 && s <= !ce then ce := Float.max !ce e
+    else begin
+      if write && !n > 0 then begin
+        us.(!n - 1) <- !cs;
+        ue.(!n - 1) <- !ce
+      end;
+      incr n;
+      cs := s;
+      ce := e
+    end
+  done;
+  if write && !n > 0 then begin
+    us.(!n - 1) <- !cs;
+    ue.(!n - 1) <- !ce
+  end;
+  !n
+
+(* Busy intervals of every link, by link id: one counting pass sizes the
+   per-class arrays, a second fills them in emission order. *)
 let busy_index t =
   match t.busy with
   | Some idx -> idx
   | None ->
       let n = N.num_links t.noc in
-      let pre = Array.make n [] and exch = Array.make n [] in
-      (* Newest first, so each list ends up in emission order. *)
-      List.iter
-        (fun b ->
-          let id = N.link_id t.noc b.b_link in
-          let iv = (b.b_start, b.b_end) in
-          match b.b_cls with
-          | Preload -> pre.(id) <- iv :: pre.(id)
-          | Distribute | Exchange -> exch.(id) <- iv :: exch.(id))
-        t.bookings;
-      let by_start l = List.sort (fun (a, _) (b, _) -> Float.compare a b) l in
-      let idx = Array.init n (fun id -> (by_start pre.(id), by_start exch.(id))) in
+      let pre = Array.make n 0 and exch = Array.make n 0 in
+      iter_bookings t (fun ints _ k ->
+          let id = ints.(k + 1) in
+          if ints.(k + 2) = 0 then pre.(id) <- pre.(id) + 1 else exch.(id) <- exch.(id) + 1);
+      let idx =
+        Array.init n (fun id ->
+            if pre.(id) + exch.(id) = 0 then idle
+            else
+              let col m = Array.make m 0. in
+              { idle with
+                pre_start = col pre.(id); pre_end = col pre.(id);
+                exch_start = col exch.(id); exch_end = col exch.(id) })
+      in
+      Array.fill pre 0 n 0;
+      Array.fill exch 0 n 0;
+      iter_bookings t (fun ints floats k ->
+          let id = ints.(k + 1) and b = idx.(ints.(k + 1)) in
+          if ints.(k + 2) = 0 then begin
+            b.pre_start.(pre.(id)) <- floats.(k + 1);
+            b.pre_end.(pre.(id)) <- floats.(k + 2);
+            pre.(id) <- pre.(id) + 1
+          end
+          else begin
+            b.exch_start.(exch.(id)) <- floats.(k + 1);
+            b.exch_end.(exch.(id)) <- floats.(k + 2);
+            exch.(id) <- exch.(id) + 1
+          end);
+      Array.iteri
+        (fun id b ->
+          if pre.(id) + exch.(id) > 0 then begin
+            let pre_start, pre_end = chronological b.pre_start b.pre_end in
+            let exch_start, exch_end = chronological b.exch_start b.exch_end in
+            let b = { b with pre_start; pre_end; exch_start; exch_end } in
+            let m = union_into b [||] [||] in
+            let union_start = Array.make m 0. and union_end = Array.make m 0. in
+            ignore (union_into b union_start union_end);
+            idx.(id) <- { b with union_start; union_end }
+          end)
+        idx;
       t.busy <- Some idx;
       idx
 
+let busy t ~id =
+  if id < 0 || id >= N.num_links t.noc then idle else (busy_index t).(id)
+
 let busy_intervals t ~link =
   match N.link_id t.noc link with
-  | id -> (busy_index t).(id)
+  | id ->
+      let b = (busy_index t).(id) in
+      let pairs s e = List.init (Array.length s) (fun i -> (s.(i), e.(i))) in
+      (pairs b.pre_start b.pre_end, pairs b.exch_start b.exch_end)
   | exception Invalid_argument _ -> ([], [])
 
+(* Transfer byte sums, newest first as recorded; the accumulator is a
+   float array so no step boxes. *)
 let class_bytes t ~cls =
-  List.fold_left
-    (fun a tr -> if tr.t_cls = cls then a +. tr.t_bytes else a)
-    0. t.transfers
+  let acc = [| 0. |] in
+  List.iter (fun tr -> if tr.t_cls = cls then acc.(0) <- acc.(0) +. tr.t_bytes) t.transfers;
+  acc.(0)
 
 let total_transfer_bytes t =
-  List.fold_left (fun a tr -> a +. tr.t_bytes) 0. t.transfers
+  let acc = [| 0. |] in
+  List.iter (fun tr -> acc.(0) <- acc.(0) +. tr.t_bytes) t.transfers;
+  acc.(0)
 
 (* Hop-count histogram: [(hops, transfers, bytes)] sorted by hops. *)
 let hop_histogram t =
-  let tbl : (int, (int * float) ref) Hashtbl.t = Hashtbl.create 16 in
+  let longest = List.fold_left (fun m tr -> max m tr.t_hops) 0 t.transfers in
+  let count = Array.make (longest + 1) 0 and bytes = Array.make (longest + 1) 0. in
   List.iter
     (fun tr ->
-      match Hashtbl.find_opt tbl tr.t_hops with
-      | Some r ->
-          let n, b = !r in
-          r := (n + 1, b +. tr.t_bytes)
-      | None -> Hashtbl.add tbl tr.t_hops (ref (1, tr.t_bytes)))
+      count.(tr.t_hops) <- count.(tr.t_hops) + 1;
+      bytes.(tr.t_hops) <- bytes.(tr.t_hops) +. tr.t_bytes)
     t.transfers;
-  Hashtbl.fold (fun h r acc -> (h, fst !r, snd !r) :: acc) tbl []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  let rows = ref [] in
+  for h = longest downto 0 do
+    if count.(h) > 0 then rows := (h, count.(h), bytes.(h)) :: !rows
+  done;
+  !rows
 
 (* Max queueing wait per (op, class) — the quantity Critpath caps into
    an event's [port_wait]. *)

@@ -2,15 +2,17 @@
 
     When enabled ([Sim.run ~noc:true]), every link reservation the two
     fluid fabrics make is mirrored here as a booking — (traffic class,
-    operator, link, bytes, busy interval) — and every transfer as a
+    operator, link id, bytes, busy interval) — and every transfer as a
     route record — (class, operator, src, dst, bytes, hops, queueing
-    wait, envelope).  Per-link volumes, class breakdowns, busy
-    intervals, hop histograms and utilization timelines are all derived
-    on demand, so recording is a list cons per booking.  The per-link
-    busy intervals and per-operator waits come from indexes built in
-    one pass on the first query after recording.  Like every
-    {!Probe} it is pure bookkeeping, never read back into any timing
-    computation (the cram suite checks simulated output is
+    wait, envelope).  Bookings are stored as columns: three ints and
+    three unboxed floats each, in fixed-size chunks that are never
+    copied.  Per-link volumes, class breakdowns, busy intervals, hop
+    histograms and utilization timelines are all derived on demand.
+    Each link's chronological per-class busy intervals and their
+    two-class union are float arrays by link id, built in one pass on
+    the first query after recording, as are per-operator waits.  Like
+    every {!Probe} it is pure bookkeeping, never read back into any
+    timing computation (the cram suite checks simulated output is
     byte-identical with recording on and off). *)
 
 type cls = Probe.cls = Preload | Distribute | Exchange
@@ -34,6 +36,7 @@ val transfers : t -> transfer array
 (** Per-link aggregate over all bookings. *)
 type link_stat = {
   ls_link : Elk_noc.Noc.link;
+  ls_id : int;  (** dense link id ({!Elk_noc.Noc.link_id}). *)
   ls_bandwidth : float;  (** raw link capacity, B/s. *)
   ls_volume : float;  (** total booked bytes. *)
   ls_preload : float;
@@ -52,7 +55,23 @@ val busy_intervals :
 (** One link's busy intervals, chronological: (preload class,
     distribute+exchange class).  Within a class, intervals never
     overlap — the fabric serializes bookings per link.  Empty for a link
-    the chip does not have. *)
+    the chip does not have.  The class arrays of {!busy}, as lists. *)
+
+(** One link's busy intervals as parallel start/end arrays. *)
+type busy = {
+  pre_start : float array;  (** preload class, chronological. *)
+  pre_end : float array;
+  exch_start : float array;  (** distribute+exchange class, chronological. *)
+  exch_end : float array;
+  union_start : float array;
+      (** the union of both classes: disjoint, ascending; an interval
+          that starts where another ends joins it. *)
+  union_end : float array;
+}
+
+val busy : t -> id:int -> busy
+(** By dense link id; empty arrays for an untouched or unknown id.  The
+    arrays are shared with the index: do not mutate them. *)
 
 val class_bytes : t -> cls:cls -> float
 (** Transfer bytes of one class, counted once per transfer. *)

@@ -29,7 +29,7 @@ type execute = {
 type booking = {
   b_cls : cls;
   b_op : int;
-  b_link : Elk_noc.Noc.link;
+  b_link : int;
   b_bytes : float;
   b_start : float;
   b_end : float;

@@ -45,7 +45,9 @@ type execute = {
 type booking = {
   b_cls : cls;
   b_op : int;
-  b_link : Elk_noc.Noc.link;
+  b_link : int;
+      (** the link's dense id ({!Elk_noc.Noc.link_id}), the index the
+          fabrics already book by; {!Elk_noc.Noc.link_of_id} names it. *)
   b_bytes : float;
   b_start : float;  (** reservation begins occupying the link. *)
   b_end : float;  (** link frees: bytes over the class's fluid share. *)

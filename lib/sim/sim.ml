@@ -141,12 +141,12 @@ let transfer ~links ~cls ~op f ~src ~dst ~bytes ~not_before ~finish ~wait slot =
     match links with
     | [] -> ()
     | _ ->
-        Array.iter
-          (fun l ->
-            Probe.emit_booking links
-              { Probe.b_cls = cls; b_op = op; b_link = N.link_of_id f.noc l;
-                b_bytes = bytes; b_start = start; b_end = start +. (bytes /. f.bw.(l)) })
-          route;
+        for k = 0 to Array.length route - 1 do
+          let l = route.(k) in
+          Probe.emit_booking links
+            { Probe.b_cls = cls; b_op = op; b_link = l; b_bytes = bytes; b_start = start;
+              b_end = start +. (bytes /. f.bw.(l)) }
+        done;
         Probe.emit_transfer links
           { Probe.t_cls = cls; t_op = op; t_src = N.node_of_id f.noc src;
             t_dst = N.node_of_id f.noc dst; t_bytes = bytes; t_hops = p.N.hops;
@@ -355,7 +355,7 @@ let run_impl ~skew ~events ~mem ~noc:record_noc ctx (s : Elk.Schedule.t) =
                   if record then
                     Probe.emit_booking links
                       { Probe.b_cls = Probe.Preload; b_op = op;
-                        b_link = N.link_of_id noc out; b_bytes = ctrl_volume;
+                        b_link = out; b_bytes = ctrl_volume;
                         b_start = start; b_end = start +. ctrl_service };
                   for c = 0 to cores - 1 do
                     if c mod nctrl = h then begin
@@ -370,7 +370,7 @@ let run_impl ~skew ~events ~mem ~noc:record_noc ctx (s : Elk.Schedule.t) =
                       if record then begin
                         Probe.emit_booking links
                           { Probe.b_cls = Probe.Preload; b_op = op;
-                            b_link = N.link_of_id noc inp; b_bytes = per_core;
+                            b_link = inp; b_bytes = per_core;
                             b_start = s; b_end = s +. inbound };
                         Probe.emit_transfer links
                           { Probe.t_cls = Probe.Preload; t_op = op; t_src = N.Hbm h;

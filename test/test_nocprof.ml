@@ -166,6 +166,56 @@ let test_analyze_requires_record () =
         ~noc:true)")
     (fun () -> ignore (Np.analyze (sched ()) r))
 
+(* The same-class overlap tolerance is relative to the makespan: a
+   0-byte reservation that overlaps a real one on the same link by
+   0.1 us must be rejected on a run this short, where a flat 1 us floor
+   let it pass. *)
+let test_check_rejects_short_overlap () =
+  let r = Elk_sim.Sim.run ~noc:true (ctx ()) (sched ()) in
+  let t = Option.get r.Elk_sim.Sim.noc in
+  Alcotest.(check bool) "makespan under a second" true (r.Elk_sim.Sim.total < 1.);
+  (match Np.check (Np.analyze (sched ()) r) with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "clean run rejected: %s" m);
+  let b =
+    match
+      List.find_opt
+        (fun b -> b.Elk_sim.Probe.b_end -. b.Elk_sim.Probe.b_start > 2e-7)
+        (Array.to_list (Nt.bookings t))
+    with
+    | Some b -> b
+    | None -> Alcotest.fail "no booking longer than 0.2 us"
+  in
+  let at = b.Elk_sim.Probe.b_end -. 1e-7 in
+  (match (Nt.probe t).Elk_sim.Probe.links with
+  | Some l -> l.Elk_sim.Probe.booking { b with b_bytes = 0.; b_start = at; b_end = at }
+  | None -> Alcotest.fail "the recorder has no link probe");
+  match Np.check (Np.analyze (sched ()) r) with
+  | Error m ->
+      let mentions sub =
+        let n = String.length sub in
+        let rec go i = i + n <= String.length m && (String.sub m i n = sub || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) ("names the overlap: " ^ m) true (mentions "overlapping")
+  | Ok () -> Alcotest.fail "a 0.1 us same-class overlap passed the check"
+
+(* Deterministic allocation gate, in the style of [sim: word budget]:
+   one Nocprof.analyze + check of the mesh schedule's recorded run,
+   after a warm-up analysis.  Measured: 72729 minor words; with list
+   busy indexes, list time series and a sorted list of busy-link events
+   it was 2414105. *)
+let test_word_budget () =
+  let s = msched () and r = Lazy.force mresult in
+  let run () = Np.check (Np.analyze s r) in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let res = Sys.opaque_identity (run ()) in
+  let w = Gc.minor_words () -. before in
+  Alcotest.(check bool) "check passes" true (res = Ok ());
+  if w > 100000. then
+    Alcotest.failf "one analyze + check allocated %.0f minor words (budget 100000)" w
+
 let suite =
   [
     Alcotest.test_case "noc recording off by default" `Quick test_off_by_default;
@@ -194,4 +244,7 @@ let suite =
       test_json_deterministic;
     Alcotest.test_case "analyze requires an interconnect record" `Quick
       test_analyze_requires_record;
+    Alcotest.test_case "check rejects a 0.1 us same-class overlap" `Quick
+      test_check_rejects_short_overlap;
+    Alcotest.test_case "nocprof: word budget" `Quick test_word_budget;
   ]

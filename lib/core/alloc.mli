@@ -12,7 +12,14 @@
     steps the most cost-effective operator — the one whose next
     Pareto point frees the most bytes per added second
     ([delta = reduced_space / increased_time]) — down its frontier until
-    the combination fits. *)
+    the combination fits.
+
+    The scheduler asks this for every candidate preload horizon of an
+    operator, and consecutive horizons differ by at most one window
+    operator, so the search is a {!sweep}: participants are pushed once
+    per induction step and each {!solve} re-runs the descent over a
+    prefix of them.  {!allocate} and {!allocate_or_error} are the
+    one-shot form of the same descent. *)
 
 type result = {
   exec_plan : Elk_partition.Partition.plan;  (** chosen execute-state plan. *)
@@ -31,10 +38,10 @@ type result = {
 (** {1 Address intervals}
 
     The allocator's capacity reasoning, made explicit: each buffer is a
-    half-open per-core SRAM byte interval.  {!allocate_or_error} packs
-    the combination it chooses through this layer and asserts the
-    intervals are disjoint and their extent equals the demand its
-    capacity check summed, and {!layout_of_schedule} assigns a concrete
+    half-open per-core SRAM byte interval.  Every successful solve
+    bump-packs the combination it chose and asserts, with {!overlaps},
+    that the intervals are disjoint and their extent equals the demand
+    its capacity check summed, and {!layout_of_schedule} assigns a concrete
     deterministic address map to a whole schedule — the address component
     the race analysis ({!Elk_verify}) joins with {!Residency} lifetimes
     and the happens-before DAG. *)
@@ -58,6 +65,46 @@ val layout_of_schedule : Schedule.t -> allocation list
     execute buffer during its own [execute]).  Buffers whose lifetimes
     intersect never share addresses; zero-byte footprints are omitted.
     Result sorted by (operator, kind). *)
+
+(** {1 Horizon sweep} *)
+
+type sweep
+(** One executing operator's allocator state for a growing window:
+    the execute-state participant and the pushed window operators, each
+    pointing at its memoized {!Elk_partition.Partition.preload_tradeoff}
+    arrays.  Not thread-safe; one per induction step. *)
+
+val sweep :
+  Elk_partition.Partition.ctx -> capacity:float -> exec_op:Elk_model.Graph.node -> sweep
+(** A sweep with no window operators pushed yet. *)
+
+val push : sweep -> Elk_model.Graph.node -> Elk_partition.Partition.plan -> unit
+(** Append one window operator, with its scheduled execute-state plan. *)
+
+val pushed : sweep -> int
+(** Window operators pushed so far. *)
+
+val solve : sweep -> upto:int -> bool
+(** [solve s ~upto] runs the descent over the execute state and the first
+    [upto] pushed operators, from their top points, and says whether the
+    combination fits.  Each solve is independent of earlier ones: it
+    decides exactly what {!allocate} would on that window.  It allocates
+    no list and no message; when logging is at debug level an infeasible
+    solve logs the {!allocate_or_error} message under the [alloc] source.
+    Raises [Invalid_argument] unless [0 <= upto <= pushed s]. *)
+
+val exec_plan : sweep -> Elk_partition.Partition.plan
+val total_space : sweep -> float
+val exec_time : sweep -> float
+(** The chosen execute-state plan, [total_space] and [exec_time] of the
+    last {!solve}, as {!result} would report them; meaningful only when
+    that solve returned [true]. *)
+
+val result : sweep -> upto:int -> result option
+(** Solve again at [upto] and materialize the full {!result}, window
+    list included; [None] when it does not fit.  Logs nothing. *)
+
+(** {1 One-shot allocation} *)
 
 val allocate :
   Elk_partition.Partition.ctx ->

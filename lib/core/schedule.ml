@@ -70,6 +70,10 @@ let validate t =
     match numeric_check t with
     | Error _ as e -> e
     | Ok () ->
+    (* Range-check before [position_of] indexes by these ids. *)
+    match Array.find_opt (fun id -> id < 0 || id >= n) t.order with
+    | Some id -> Error (Printf.sprintf "order holds op id %d outside 0..%d" id (n - 1))
+    | None ->
     let pos = position_of t in
     if Array.exists (fun p -> p < 0) pos then Error "order is not a permutation"
     else begin

@@ -33,7 +33,8 @@ type t = {
 val num_ops : t -> int
 
 val validate : t -> (unit, string) result
-(** Check structural invariants — [order] is a permutation, windows sum to
+(** Check structural invariants — [order] is a permutation (ids out of
+    range are an [Error], never an exception), windows sum to
     the op count, every operator's preload position precedes its execution
     step, entries are indexed consistently — and numeric hygiene: every
     [preload_len], [dist_time], and [est_total] must be a finite,
@@ -45,7 +46,9 @@ val preload_step : t -> int array
     step (0 = initial batch) whose window contains it. *)
 
 val position_of : t -> int array
-(** Map each operator id to its position in [order]. *)
+(** Map each operator id to its position in [order].  Raises
+    [Invalid_argument] on an id outside [0 .. num_ops - 1]: {!validate}
+    first. *)
 
 val preload_time :
   Elk_partition.Partition.ctx -> Elk_tensor.Opspec.t ->

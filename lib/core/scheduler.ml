@@ -194,21 +194,24 @@ let run ?order ?digests ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
     let h_low = if i = n - 1 then n else h_floor.(min (n - 1) (i + 1)) in
     let h_high = if i = n - 1 then n else min n (h_low + max_preload) in
     (* Residents at horizon h: operators at preload positions < h that
-       execute after i.  The base set (positions < h_low) is shared by all
-       candidate horizons. *)
-    let resident_upto h =
-      let acc = ref [] in
-      for k = h - 1 downto 0 do
-        let w = order.(k) in
+       execute after i, in position order.  The window at h + 1 is the
+       window at h plus [order.(h)] when that executes after i, so one
+       allocator sweep serves every candidate horizon: positions are
+       pushed as the horizon reaches them, and [solve ~upto] evaluates the
+       window of [upto] residents. *)
+    let sweep = Alloc.sweep ctx ~capacity ~exec_op:node in
+    let scanned = ref 0 in
+    let residents_upto h =
+      while !scanned < h do
+        let w = order.(!scanned) in
         if w > i then
-          acc :=
-            ( node_of w,
-              match plans.(w) with
-              | Some pl -> pl
-              | None -> raise (Infeasible "window op scheduled out of order") )
-            :: !acc
+          Alloc.push sweep (node_of w)
+            (match plans.(w) with
+            | Some pl -> pl
+            | None -> raise (Infeasible "window op scheduled out of order"));
+        incr scanned
       done;
-      !acc
+      Alloc.pushed sweep
     in
     let next_s_exe = if i = n - 1 then 0. else s_exe.(i + 1) in
     let candidates = ref [] in
@@ -216,25 +219,25 @@ let run ?order ?digests ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
     let stop = ref false in
     Elk_obs.Span.with_span "allocate" (fun () ->
     while (not !stop) && !h <= h_high do
-      let window = resident_upto !h in
-      (match Alloc.allocate ctx ~capacity ~exec_op:node ~window with
-      | None ->
-          (* The residency window overflowed SRAM: the horizon search
-             backtracks to the candidates collected so far. *)
-          Elk_obs.Metrics.incr "elk_scheduler_backtracks_total"
-            ~help:"Horizon searches stopped by an SRAM-overflowing window";
-          stop := true
-      | Some alloc ->
-          (* Estimate op i's own distribution time from the option that
-             would fit in the spare capacity left by this combination. *)
-          let spare = Float.max 0. (capacity -. alloc.Alloc.total_space) in
-          let dist_est =
-            (best_opt_within ctx node.Graph.op alloc.Alloc.exec_plan ~space:spare)
-              .P.dist_time
-          in
-          let span = alloc.Alloc.exec_time +. dist_est in
-          let bound = Float.min next_s_exe (s_pre_pos !h) in
-          candidates := (bound -. span, span, !h, alloc, bound) :: !candidates);
+      let upto = residents_upto !h in
+      if not (Alloc.solve sweep ~upto) then begin
+        (* The residency window overflowed SRAM: the horizon search
+           backtracks to the candidates collected so far. *)
+        Elk_obs.Metrics.incr "elk_scheduler_backtracks_total"
+          ~help:"Horizon searches stopped by an SRAM-overflowing window";
+        stop := true
+      end
+      else begin
+        (* Estimate op i's own distribution time from the option that
+           would fit in the spare capacity left by this combination. *)
+        let spare = Float.max 0. (capacity -. Alloc.total_space sweep) in
+        let dist_est =
+          (best_opt_within ctx node.Graph.op (Alloc.exec_plan sweep) ~space:spare).P.dist_time
+        in
+        let span = Alloc.exec_time sweep +. dist_est in
+        let bound = Float.min next_s_exe (s_pre_pos !h) in
+        candidates := (bound -. span, span, !h, upto, bound) :: !candidates
+      end;
       incr h
     done);
     (* Keep the best start time; among near-ties take the largest horizon —
@@ -249,11 +252,11 @@ let run ?order ?digests ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
           let tol (span : float) = 0.02 *. Float.max 1e-9 span in
           ref
             (List.fold_left
-               (fun acc (s, span, h, alloc, bound) ->
+               (fun acc (s, span, h, upto, bound) ->
                  if s >= best_start -. tol span then
                    match acc with
                    | Some (_, bh, _, _) when bh >= h -> acc
-                   | _ -> Some (s, h, alloc, bound)
+                   | _ -> Some (s, h, upto, bound)
                  else acc)
                None cs)
     in
@@ -282,7 +285,11 @@ let run ?order ?digests ?(max_preload = 32) ?(cutoff = infinity) ctx graph =
             plans.(i) <- Some plan;
             horizon.(i) <- h_low;
             s_exe.(i) <- bound -. span)
-    | Some (start, h_star, alloc, _) ->
+    | Some (start, h_star, upto, _) ->
+        (* Only the winning horizon's window is materialized. *)
+        let alloc =
+          match Alloc.result sweep ~upto with Some a -> a | None -> assert false
+        in
         plans.(i) <- Some alloc.Alloc.exec_plan;
         horizon.(i) <- h_star;
         s_exe.(i) <- start;

@@ -13,7 +13,15 @@
 
     The preload order may differ from the execution order (§4.4); it is
     supplied as a permutation and the induction consumes its positions
-    from the back. *)
+    from the back.
+
+    Each induction step keeps one {!Alloc.sweep}: the window at horizon
+    [h + 1] is the window at [h] plus at most one operator, so residents
+    are pushed once as the horizon reaches them and every candidate
+    horizon is one {!Alloc.solve} over a prefix.  Candidates keep only
+    their figures; the winning horizon alone is re-solved into an
+    {!Alloc.result} with its window list.  The decisions are exactly
+    those of one {!Alloc.allocate} call per horizon. *)
 
 exception Infeasible of string
 (** Raised when some operator cannot fit on the chip at all (no partition

@@ -202,6 +202,282 @@ let test_alloc_word_budget () =
   if words > 2500. then
     Alcotest.failf "one allocate call allocated %.0f words (budget 2500)" words
 
+(* The list-based allocator the horizon sweep replaced, kept verbatim in
+   substance as the reference the sweep must reproduce bit for bit: one
+   fresh participant array per call, the window as a list, the chosen
+   combination packed into address intervals for the assertion. *)
+module Ref_alloc = struct
+  module A = Elk.Alloc
+
+  type participant = { spaces : float array; times : float array; mutable idx : int }
+
+  let participant (t : _ P.tradeoff) =
+    { spaces = t.P.spaces; times = t.P.times; idx = Array.length t.P.spaces - 1 }
+
+  let demand parts =
+    let s = ref 0. in
+    for k = 0 to Array.length parts - 1 do
+      let p = parts.(k) in
+      s := !s +. p.spaces.(p.idx)
+    done;
+    !s
+
+  let steepest parts =
+    let best = ref (-1) and best_d = ref 0. in
+    for k = 0 to Array.length parts - 1 do
+      let p = parts.(k) in
+      if p.idx > 0 then begin
+        let freed = p.spaces.(p.idx) -. p.spaces.(p.idx - 1) in
+        let slower = Float.max 1e-12 (p.times.(p.idx - 1) -. p.times.(p.idx)) in
+        let d = freed /. slower in
+        if !best < 0 || not (!best_d >= d) then begin
+          best := k;
+          best_d := d
+        end
+      end
+    done;
+    !best
+
+  let pack sized =
+    let _, placed =
+      List.fold_left
+        (fun (base, acc) (a_op, a_kind, a_size) ->
+          (base +. a_size, { A.a_op; a_kind; a_base = base; a_size } :: acc))
+        (0., []) sized
+    in
+    List.rev placed
+
+  let extent placed =
+    List.fold_left (fun e a -> Float.max e (a.A.a_base +. a.A.a_size)) 0. placed
+
+  let rec well_packed = function
+    | [] -> true
+    | a :: tl -> (not (List.exists (A.overlaps a) tl)) && well_packed tl
+
+  let allocate_or_error ctx ~capacity ~exec_op ~window =
+    let op_label () =
+      Printf.sprintf "op %d (%s)" exec_op.Graph.id exec_op.Graph.op.Elk_tensor.Opspec.name
+    in
+    let exec = P.exec_tradeoff ctx exec_op.Graph.op in
+    if Array.length exec.P.spaces = 0 then
+      Error
+        (Printf.sprintf
+           "allocation infeasible for %s: no execute-state plan fits %.0f B/core SRAM"
+           (op_label ()) capacity)
+    else begin
+      let n = List.length window in
+      let ids = Array.make n 0 and opts = Array.make n [||] in
+      let exec_part = participant exec in
+      let parts = Array.make (n + 1) exec_part in
+      List.iteri
+        (fun k ((node : Graph.node), plan) ->
+          let t = P.preload_tradeoff ctx node.Graph.op plan in
+          ids.(k) <- node.Graph.id;
+          opts.(k) <- t.P.payloads;
+          parts.(k + 1) <- participant t)
+        window;
+      let rec descend () =
+        demand parts <= capacity
+        ||
+        match steepest parts with
+        | -1 -> false
+        | k ->
+            parts.(k).idx <- parts.(k).idx - 1;
+            descend ()
+      in
+      if not (descend ()) then
+        let total = demand parts in
+        Error
+          (Printf.sprintf
+             "allocation infeasible for %s: minimal demand %.0f B/core (execute \
+              state + %d overlapping preloads) exceeds %.0f B/core SRAM by %.0f B"
+             (op_label ()) total n capacity (total -. capacity))
+      else begin
+        let exec_plan = exec.P.payloads.(exec_part.idx) in
+        let chosen_window = List.init n (fun k -> (ids.(k), opts.(k).(parts.(k + 1).idx))) in
+        let total = demand parts in
+        let packed =
+          pack
+            (List.init (n + 1) (fun k ->
+                 let p = parts.(k) in
+                 if k = 0 then (exec_op.Graph.id, Elk.Residency.Exec, p.spaces.(p.idx))
+                 else (ids.(k - 1), Elk.Residency.Preload, p.spaces.(p.idx))))
+        in
+        assert (well_packed packed && extent packed = total);
+        let chip = P.ctx_chip ctx in
+        let link_bw = chip.Elk_arch.Arch.intercore_link.Elk_arch.Arch.bandwidth in
+        let cores = float_of_int chip.Elk_arch.Arch.cores in
+        let inject_total =
+          List.fold_left (fun a (_, o) -> a +. o.P.noc_inject_bytes) 0. chosen_window
+        in
+        let inject_overlap_pc =
+          Float.min (inject_total /. cores)
+            (chip.Elk_arch.Arch.hbm_bandwidth /. cores *. exec_plan.P.exec_time)
+        in
+        let exchange_pc = exec_plan.P.exchange_bytes_per_core in
+        let port_service = (inject_overlap_pc +. exchange_pc) /. link_bw in
+        let contention = Float.max 0. (port_service -. exec_plan.P.exec_time) in
+        let dist_total =
+          List.fold_left (fun a (_, o) -> a +. P.preload_overhead o) 0. chosen_window
+        in
+        Ok
+          {
+            A.exec_plan;
+            window = chosen_window;
+            exec_time = exec_plan.P.exec_time +. contention;
+            objective = exec_plan.P.exec_time +. contention +. dist_total;
+            total_space = total;
+            contention;
+          }
+      end
+    end
+end
+
+(* Every float of an allocation result, printed with [%h] so equality is
+   bitwise. *)
+let result_bits (r : Elk.Alloc.result) =
+  let opt (id, (o : P.preload_opt)) =
+    Printf.sprintf "%d:%h/%h/%h/%h/%h/%h/%h/%h" id o.P.frac o.P.preload_space
+      o.P.dist_bytes_per_core o.P.dist_time o.P.hbm_device_bytes o.P.noc_inject_bytes
+      o.P.preload_len o.P.hbm_floor
+  in
+  Printf.sprintf "plan=%s exec=%h total=%h time=%h cont=%h obj=%h window=[%s]"
+    (String.concat "," (Array.to_list (Array.map string_of_int r.Elk.Alloc.exec_plan.P.factors)))
+    r.Elk.Alloc.exec_plan.P.exec_time r.Elk.Alloc.total_space r.Elk.Alloc.exec_time
+    r.Elk.Alloc.contention r.Elk.Alloc.objective
+    (String.concat " " (List.map opt r.Elk.Alloc.window))
+
+let outcome_bits = function Ok r -> "ok " ^ result_bits r | Error msg -> "error " ^ msg
+
+let take k l = List.filteri (fun j _ -> j < k) l
+
+let test_sweep_matches_reference =
+  (* A real scheduler window (a2a or mesh), a random prefix of it as the
+     candidate horizon, and a random capacity between the prefix's
+     smallest and largest demand (a little past both ends), so most cases
+     descend.  The sweep holds the whole window and first solves a
+     different prefix, so a solve that kept state from the previous one
+     would show. *)
+  let gen =
+    QCheck2.Gen.(
+      tup5 bool (int_bound 1_000_000) (int_bound 1_000_000) (int_bound 1_000_000)
+        (float_range (-0.05) 1.05))
+  in
+  let prop (mesh, step, prefix, other, cap_pos) =
+    let c, s =
+      if mesh then (Lazy.force Tu.mesh_ctx, Lazy.force Tu.mesh_schedule)
+      else (ctx (), sched ())
+    in
+    let g = s.Elk.Schedule.graph in
+    let i = step mod Elk.Schedule.num_ops s in
+    let window = real_window s i in
+    let n = List.length window in
+    let upto = prefix mod (n + 1) and other = other mod (n + 1) in
+    let exec_op = Graph.get g i in
+    let demand pick =
+      List.fold_left
+        (fun a ((node : Graph.node), plan) ->
+          a +. pick (P.preload_tradeoff c node.Graph.op plan).P.spaces)
+        (pick (P.exec_tradeoff c exec_op.Graph.op).P.spaces)
+        (take upto window)
+    in
+    let lo = demand (fun a -> a.(0)) and hi = demand (fun a -> a.(Array.length a - 1)) in
+    let capacity = lo +. (cap_pos *. (hi -. lo)) in
+    let expected =
+      outcome_bits (Ref_alloc.allocate_or_error c ~capacity ~exec_op ~window:(take upto window))
+    in
+    let sw = Elk.Alloc.sweep c ~capacity ~exec_op in
+    List.iter (fun ((node : Graph.node), plan) -> Elk.Alloc.push sw node plan) window;
+    ignore (Elk.Alloc.solve sw ~upto:other);
+    let solved = Elk.Alloc.solve sw ~upto in
+    let accessors_agree =
+      (not solved)
+      ||
+      match Elk.Alloc.result sw ~upto with
+      | None -> false
+      | Some r ->
+          Elk.Alloc.exec_plan sw == r.Elk.Alloc.exec_plan
+          && Int64.bits_of_float (Elk.Alloc.total_space sw)
+             = Int64.bits_of_float r.Elk.Alloc.total_space
+          && Int64.bits_of_float (Elk.Alloc.exec_time sw)
+             = Int64.bits_of_float r.Elk.Alloc.exec_time
+    in
+    let swept =
+      match Elk.Alloc.result sw ~upto with
+      | Some r -> "ok " ^ result_bits r
+      | None -> (
+          (* The message comes from the one-shot wrapper over the same
+             descent. *)
+          match Elk.Alloc.allocate_or_error c ~capacity ~exec_op ~window:(take upto window) with
+          | Ok _ -> "ok from one-shot, None from the sweep"
+          | Error msg -> "error " ^ msg)
+    in
+    let one_shot =
+      outcome_bits (Elk.Alloc.allocate_or_error c ~capacity ~exec_op ~window:(take upto window))
+    in
+    if solved <> String.starts_with ~prefix:"ok" expected then
+      QCheck2.Test.fail_reportf "solve says %b, reference %s" solved expected;
+    if not accessors_agree then QCheck2.Test.fail_report "accessors disagree with result";
+    if swept <> expected then QCheck2.Test.fail_reportf "sweep:\n%s\nreference:\n%s" swept expected;
+    if one_shot <> expected then
+      QCheck2.Test.fail_reportf "allocate_or_error:\n%s\nreference:\n%s" one_shot expected;
+    true
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 16 |])
+    (QCheck2.Test.make ~count:300 ~name:"alloc: sweep matches the list allocator" gen prop)
+
+let test_scheduler_word_budget () =
+  (* Deterministic allocation gate on a whole backward induction: one warm
+     [Scheduler.run] with the compile cache off, so no suffix memo skips
+     the allocator.  Measured: 75,698 minor words with one allocator sweep
+     per induction step; 891,896 with one list-building allocator call per
+     candidate horizon. *)
+  let c = ctx () and g = graph () in
+  let was = Elk.Compilecache.enabled () in
+  Elk.Compilecache.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Elk.Compilecache.set_enabled was)
+    (fun () ->
+      ignore (Elk.Scheduler.run c g);
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Elk.Scheduler.run c g));
+      let words = Gc.minor_words () -. before in
+      let budget = 150_000. in
+      if words > budget then
+        Alcotest.failf "one Scheduler.run allocated %.0f words (budget %.0f)" words budget)
+
+(* MD5 of the [elk compile --save-plan] text (plan plus address layout)
+   for zoo models at the CLI defaults (scale 8, layer factor 10, batch
+   32, ctx 256).  Recorded with the list-based allocator; llama2-13b and
+   opt-30b on the mesh backtrack in the horizon search.  A hot-path change that
+   moves any plan fails here. *)
+let pinned_plans =
+  [
+    (Elk_model.Zoo.llama2_13b, "mesh", "f132391e3ab9aa3e5cf2c39711232892");
+    (Elk_model.Zoo.dit_xl, "a2a", "40c1fd66b75a59d27623ee0bbda93657");
+    (Elk_model.Zoo.opt_30b, "mesh", "0f3d5f11f5d6904e12832b703eb9c9ee");
+    (Elk_model.Zoo.mixtral_8x7b, "a2a", "3ea2cde27fc4fcd8ab653bdaedf55339");
+  ]
+
+let test_plan_digests_pinned () =
+  let a2a = lazy (Elk_dse.Dse.env ()) and mesh = lazy (Elk_dse.Dse.env ~topology:`Mesh ()) in
+  List.iter
+    (fun (cfg, topo, digest) ->
+      let g =
+        Elk_model.Zoo.build
+          (Elk_model.Zoo.scale cfg ~factor:8 ~layer_factor:10)
+          (Elk_model.Zoo.Decode { batch = 32; ctx = 256 })
+      in
+      let env = Lazy.force (if topo = "mesh" then mesh else a2a) in
+      let c = Elk.Compile.compile env.Elk_dse.Dse.ctx ~pod:env.Elk_dse.Dse.pod g in
+      let s = c.Elk.Compile.schedule in
+      let text = Elk.Planio.export ~layout:(Elk.Alloc.layout_of_schedule s) s in
+      Alcotest.(check string)
+        (cfg.Elk_model.Zoo.cfg_name ^ " " ^ topo)
+        digest
+        (Digest.to_hex (Digest.string text)))
+    pinned_plans
+
 (* ------------------------------------------------------------------ *)
 (* Scheduler + Schedule                                               *)
 (* ------------------------------------------------------------------ *)
@@ -539,6 +815,9 @@ let suite =
     ("alloc: memo ignores names", `Quick, test_memo_ignores_names);
     ("alloc: memo factors per op", `Quick, test_memo_factors_scoped_per_op);
     ("alloc: word budget", `Quick, test_alloc_word_budget);
+    test_sweep_matches_reference;
+    ("scheduler: word budget", `Quick, test_scheduler_word_budget);
+    ("compile: plan digests pinned", `Quick, test_plan_digests_pinned);
     ("scheduler: schedule validates", `Quick, test_schedule_validates);
     ("scheduler: windows sum", `Quick, test_schedule_windows_sum);
     ("scheduler: entries indexed", `Quick, test_schedule_entries_indexed);

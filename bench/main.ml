@@ -925,13 +925,10 @@ let attrib () =
 (* Compile-time baseline (BENCH_compile.json)                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Time the full [Compile.compile] order search sequentially and on the
-   parallel pool, per model x topology, and snapshot the numbers next to
-   the repo's committed copy.  Wall-clock compile times are inherently
-   machine-dependent, so CI diffs this file non-blocking (unlike
-   BENCH_attrib.json); the [plan_identical] flags, however, must stay
-   true — they re-check the determinism contract of the parallel search
-   on the benchmark workloads themselves.
+(* Time the full [Compile.compile] order search per model x topology and
+   snapshot the numbers next to the repo's committed copy.  Wall-clock
+   compile times are inherently machine-dependent, so CI diffs this file
+   non-blocking (unlike BENCH_attrib.json).
 
    A second section measures the steady-state serving recompile: the
    ctx-bucket ladder a batching front-end walks as contexts grow,
@@ -942,8 +939,7 @@ let compile_bench () =
   (* Counters (orders pruned/tried) only record while obs is on. *)
   let was_enabled = Elk_obs.Control.is_enabled () in
   Elk_obs.Control.enable ();
-  (* The jobs comparison times full searches; a cache hit on the second
-     jobs level would make it vacuous. *)
+  (* Time full searches: a whole-plan cache hit would time nothing. *)
   let was_cache = Elk.Compilecache.enabled () in
   Elk.Compilecache.set_enabled false;
   (* A 10% margin is enough to show the branch-and-bound bounds firing on
@@ -957,67 +953,33 @@ let compile_bench () =
   in
   let t =
     Table.create
-      ~title:
-        (Printf.sprintf "Compile time: sequential vs parallel order search (max_orders=%d)"
-           max_orders)
-      ~columns:[ "Model"; "Topology"; "jobs"; "compile (s)"; "orders"; "pruned"; "speedup" ]
+      ~title:(Printf.sprintf "Compile time: order search (max_orders=%d)" max_orders)
+      ~columns:[ "Model"; "Topology"; "compile (s)"; "orders"; "pruned" ]
   in
   let rows = ref [] in
-  let speedups = ref [] in
   List.iter
     (fun cfg ->
       List.iter
         (fun (tname, topology) ->
           let g = decode cfg ~batch:32 in
-          let runs =
-            List.map
-              (fun jobs ->
-                (* A fresh env per run: memo caches warmed by the previous
-                   jobs level would flatter the second measurement. *)
-                let env = D.env ~topology () in
-                Elk_util.Pool.set_jobs jobs;
-                let pruned0 = counter "elk_compile_orders_pruned_total" in
-                let c = Elk.Compile.compile ~options:opts env.D.ctx ~pod:env.D.pod g in
-                let pruned =
-                  int_of_float (counter "elk_compile_orders_pruned_total" -. pruned0)
-                in
-                (jobs, c, pruned))
-              [ 1; 4 ]
-          in
-          let seq_time =
-            match runs with (_, c, _) :: _ -> c.Elk.Compile.compile_seconds | [] -> 0.
-          in
-          let seq_plan =
-            match runs with (_, c, _) :: _ -> Elk.Planio.export c.Elk.Compile.schedule | [] -> ""
-          in
-          List.iter
-            (fun (jobs, c, pruned) ->
-              let speedup = seq_time /. Float.max 1e-9 c.Elk.Compile.compile_seconds in
-              let identical = Elk.Planio.export c.Elk.Compile.schedule = seq_plan in
-              Table.add_row t
-                [ cfg.Zoo.cfg_name; tname; string_of_int jobs;
-                  Printf.sprintf "%.2f" c.Elk.Compile.compile_seconds;
-                  string_of_int c.Elk.Compile.orders_tried; string_of_int pruned;
-                  (if jobs = 1 then "-" else Printf.sprintf "%.2fx" speedup) ];
-              rows :=
-                Printf.sprintf
-                  "{\"model\":%S,\"topology\":%S,\"jobs\":%d,\"compile_s\":%.3f,\
-                   \"orders_tried\":%d,\"pruned\":%d,\"latency_us\":%.4g}"
-                  cfg.Zoo.cfg_name tname jobs c.Elk.Compile.compile_seconds
-                  c.Elk.Compile.orders_tried pruned
-                  (Elk.Compile.latency c *. 1e6)
-                :: !rows;
-              if jobs <> 1 then
-                speedups :=
-                  Printf.sprintf
-                    "{\"model\":%S,\"topology\":%S,\"jobs\":%d,\"speedup\":%.2f,\
-                     \"plan_identical\":%b}"
-                    cfg.Zoo.cfg_name tname jobs speedup identical
-                  :: !speedups)
-            runs)
+          let env = D.env ~topology () in
+          let pruned0 = counter "elk_compile_orders_pruned_total" in
+          let c = Elk.Compile.compile ~options:opts env.D.ctx ~pod:env.D.pod g in
+          let pruned = int_of_float (counter "elk_compile_orders_pruned_total" -. pruned0) in
+          Table.add_row t
+            [ cfg.Zoo.cfg_name; tname;
+              Printf.sprintf "%.2f" c.Elk.Compile.compile_seconds;
+              string_of_int c.Elk.Compile.orders_tried; string_of_int pruned ];
+          rows :=
+            Printf.sprintf
+              "{\"model\":%S,\"topology\":%S,\"compile_s\":%.3f,\
+               \"orders_tried\":%d,\"pruned\":%d,\"latency_us\":%.4g}"
+              cfg.Zoo.cfg_name tname c.Elk.Compile.compile_seconds
+              c.Elk.Compile.orders_tried pruned
+              (Elk.Compile.latency c *. 1e6)
+            :: !rows)
         [ ("a2a", `All_to_all); ("mesh", `Mesh) ])
     [ llama13b; gemma27b ];
-  Elk_util.Pool.set_jobs 1;
   Table.print t;
   (* ---- steady-state serving recompiles: cold vs warm ------------- *)
   Elk.Compilecache.set_enabled true;
@@ -1078,11 +1040,9 @@ let compile_bench () =
   Table.print lt;
   let json =
     Printf.sprintf
-      "{\"max_orders\":%d,\"jobs_levels\":[1,4],\n\"runs\":[\n%s\n],\n\
-       \"speedups\":[\n%s\n],\n\"serving_ladder\":[\n%s\n]}\n"
+      "{\"max_orders\":%d,\n\"runs\":[\n%s\n],\n\"serving_ladder\":[\n%s\n]}\n"
       max_orders
       (String.concat ",\n" (List.rev !rows))
-      (String.concat ",\n" (List.rev !speedups))
       (String.concat ",\n" (List.rev !ladder))
   in
   let oc = open_out "BENCH_compile.json" in

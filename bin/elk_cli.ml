@@ -73,18 +73,6 @@ let build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill =
 
 let make_env ~chips ~cores ~topology = D.env ~chips ~cores ~topology ()
 
-let jobs_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ]
-        ~doc:
-          "Worker domains for the parallel candidate-order search (default: \
-           $(b,ELK_JOBS), else the machine's recommended domain count).  The \
-           compiled plan is byte-identical whatever the value.")
-
-let set_jobs jobs = Option.iter Elk_util.Pool.set_jobs jobs
-
 let no_cache_t =
   Arg.(
     value & flag
@@ -172,10 +160,9 @@ let info_cmd =
     Term.(const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t)
 
 let compile_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology jobs no_cache
+  let run cfg scale layer_factor batch ctx prefill chips cores topology no_cache
       trace codegen_dir save_plan metrics_out trace_out =
     obs_setup ~metrics_out ~trace_out;
-    set_jobs jobs;
     set_cache no_cache;
     let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
     let env = make_env ~chips ~cores ~topology in
@@ -226,14 +213,13 @@ let compile_cmd =
   Cmd.v (Cmd.info "compile" ~doc:"Compile a model with Elk and print the plan summary.")
     Term.(
       const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ jobs_t $ no_cache_t $ trace_t $ codegen_t
+      $ chips_t $ cores_t $ topo_t $ no_cache_t $ trace_t $ codegen_t
       $ save_plan_t $ metrics_out_t $ trace_out_t)
 
 let compare_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology jobs no_cache
+  let run cfg scale layer_factor batch ctx prefill chips cores topology no_cache
       metrics_out trace_out =
     obs_setup ~metrics_out ~trace_out;
-    set_jobs jobs;
     set_cache no_cache;
     let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
     let env = make_env ~chips ~cores ~topology in
@@ -260,7 +246,7 @@ let compare_cmd =
     (Cmd.info "compare" ~doc:"Evaluate all designs on one model with the simulator.")
     Term.(
       const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ jobs_t $ no_cache_t $ metrics_out_t $ trace_out_t)
+      $ chips_t $ cores_t $ topo_t $ no_cache_t $ metrics_out_t $ trace_out_t)
 
 let program_cmd =
   let run cfg scale layer_factor batch ctx prefill chips cores topology design limit =
@@ -291,10 +277,9 @@ let program_cmd =
       $ chips_t $ cores_t $ topo_t $ design_t $ limit_t)
 
 let report_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology jobs metrics_out
+  let run cfg scale layer_factor batch ctx prefill chips cores topology metrics_out
       trace_out =
     obs_setup ~metrics_out ~trace_out;
-    set_jobs jobs;
     let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
     let env = make_env ~chips ~cores ~topology in
     let c = Elk.Compile.compile env.D.ctx ~pod:env.D.pod g in
@@ -307,7 +292,7 @@ let report_cmd =
     (Cmd.info "report" ~doc:"Compile, simulate and print a Markdown diagnostics report.")
     Term.(
       const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ jobs_t $ metrics_out_t $ trace_out_t)
+      $ chips_t $ cores_t $ topo_t $ metrics_out_t $ trace_out_t)
 
 (* ---- simulator reports: simulate -> check -> report ------------------- *)
 
@@ -508,16 +493,14 @@ let trace_cmd =
     [ diff_cmd ]
 
 let profile_cmd =
-  let run cfg scale layer_factor batch ctx prefill chips cores topology jobs per_core
+  let run cfg scale layer_factor batch ctx prefill chips cores topology per_core
       metrics_out trace_out =
     Elk_obs.Control.enable ();
-    set_jobs jobs;
     let g = build_graph cfg ~scale ~layer_factor ~batch ~ctx ~prefill in
     let env = make_env ~chips ~cores ~topology in
     let c = Elk.Compile.compile env.D.ctx ~pod:env.D.pod g in
-    (* Pool workers run spans of one phase at the same time, so a
-       phase's summed span time (cpu) can exceed the wall time it
-       covers; the share is of wall time, hence at most 100%. *)
+    (* cpu sums a phase's spans; wall is the union of their intervals,
+       so overlapping spans count once and the share is at most 100%. *)
     let totals =
       List.map (fun (name, calls, cpu) -> (name, calls, cpu, Elk_obs.Span.wall name))
         (Elk_obs.Span.totals ())
@@ -578,7 +561,7 @@ let profile_cmd =
           compile-time table.")
     Term.(
       const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ jobs_t $ per_core_t $ metrics_out_t $ trace_out_t)
+      $ chips_t $ cores_t $ topo_t $ per_core_t $ metrics_out_t $ trace_out_t)
 
 (* The rule-registry table behind `verify --rules help` and
    `lint --rules help`. *)
@@ -603,10 +586,9 @@ let print_rules () =
 let verify_cmd =
   let module V = Elk_verify.Verify in
   let module R = Elk_verify.Rules in
-  let run cfg scale layer_factor batch ctx prefill chips cores topology jobs design
+  let run cfg scale layer_factor batch ctx prefill chips cores topology design
       plan_file strict rules error_spec json_out metrics_out trace_out =
     obs_setup ~metrics_out ~trace_out;
-    set_jobs jobs;
     if rules = Some "help" then print_rules ()
     else begin
       let sel =
@@ -702,7 +684,7 @@ let verify_cmd =
           order soundness, numeric hygiene, and bandwidth feasibility.")
     Term.(
       const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ jobs_t $ design_t $ plan_t $ strict_t $ rules_t
+      $ chips_t $ cores_t $ topo_t $ design_t $ plan_t $ strict_t $ rules_t
       $ error_t $ json_out_t $ metrics_out_t $ trace_out_t)
 
 let lint_cmd =
@@ -784,11 +766,10 @@ let lint_cmd =
       !ok
     end
   in
-  let run cfg scale layer_factor batch ctx prefill chips cores topology jobs design
+  let run cfg scale layer_factor batch ctx prefill chips cores topology design
       plan_file strict rules error_spec crosscheck json_out sarif_out metrics_out
       trace_out =
     obs_setup ~metrics_out ~trace_out;
-    set_jobs jobs;
     if rules = Some "help" then print_rules ()
     else begin
     let sel =
@@ -903,17 +884,16 @@ let lint_cmd =
           channel-dependency deadlock analysis.")
     Term.(
       const run $ model_t $ scale_t $ layer_factor_t $ batch_t $ ctx_t $ prefill_t
-      $ chips_t $ cores_t $ topo_t $ jobs_t $ design_t $ plan_t $ strict_t $ rules_t
+      $ chips_t $ cores_t $ topo_t $ design_t $ plan_t $ strict_t $ rules_t
       $ error_t $ crosscheck_t $ json_out_t $ sarif_t $ metrics_out_t $ trace_out_t)
 
 let serve_cmd =
   let module W = Elk_serve.Workload in
   let module F = Elk_serve.Frontend in
-  let run cfg scale layer_factor chips cores topology jobs no_cache design workload
+  let run cfg scale layer_factor chips cores topology no_cache design workload
       rate requests seed prompt output max_batch plan_cache_cap slo_ttft slo_itl
       window record json_out metrics_out trace_out =
     let mem = List.mem `Mem record and noc = List.mem `Noc record in
-    set_jobs jobs;
     set_cache no_cache;
     obs_setup ~metrics_out ~trace_out;
     let cfg =
@@ -932,7 +912,7 @@ let serve_cmd =
         in
         let reqs = W.generate ~seed ~n:requests spec in
         let result =
-          F.run ~design ?jobs ~max_batch ~plan_cache_cap ~noc env cfg reqs
+          F.run ~design ~max_batch ~plan_cache_cap ~noc env cfg reqs
         in
         Ok
           ( result,
@@ -980,7 +960,7 @@ let serve_cmd =
       & info [ "seed" ]
           ~doc:
             "Workload seed.  The same seed gives a byte-identical request list \
-             and SLO report, whatever the $(b,--jobs) count.")
+             and SLO report.")
   in
   let prompt_t =
     Arg.(value & opt int 128 & info [ "prompt" ] ~doc:"Mean prompt length, tokens.")
@@ -1040,7 +1020,7 @@ let serve_cmd =
           queue depth over time.")
     Term.(
       const run $ model_t $ scale_t $ layer_factor_t $ chips_t $ cores_t
-      $ topo_t $ jobs_t $ no_cache_t $ design_t $ workload_t $ rate_t
+      $ topo_t $ no_cache_t $ design_t $ workload_t $ rate_t
       $ requests_t $ seed_t $ prompt_t $ output_t $ max_batch_t
       $ plan_cache_cap_t $ slo_ttft_t $ slo_itl_t $ window_t $ record_t
       $ json_out_t $ metrics_out_t $ trace_out_t)

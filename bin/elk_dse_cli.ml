@@ -39,8 +39,10 @@ let jobs_t =
     & opt (some int) None
     & info [ "j"; "jobs" ]
         ~doc:
-          "Worker domains for design-point evaluation and order search \
-           (default: $(b,ELK_JOBS), else the recommended domain count).")
+          "Worker domains evaluating the design points of each sweep step \
+           (default: $(b,ELK_JOBS), else the recommended domain count).  \
+           Order searches run sequentially; the output is identical \
+           whatever the value.")
 
 let run cfg sweep topology batch jobs =
   Option.iter Elk_util.Pool.set_jobs jobs;

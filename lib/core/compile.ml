@@ -180,26 +180,22 @@ let compile ?(options = default_options) ctx ~pod graph =
                 ~max_edit_distance:options.max_edit_distance ctx chip_graph
             else [ Array.init (Elk_model.Graph.length chip_graph) (fun i -> i) ])
       in
-      (* Branch-and-bound order search.  The head candidate (always the
-         execution order) is scheduled and evaluated sequentially: it
-         seeds the incumbent deterministically and warms the partition
-         memo caches before the fan-out.  The remaining candidates run on
-         the shared domain pool; each is bounded twice:
+      (* Branch-and-bound order search, sequential in candidate-list
+         order.  The head candidate (always the execution order) seeds
+         the incumbent and warms the partition memo caches; every later
+         candidate is bounded twice:
 
          - a {e static} scheduler cutoff — the baseline's stall-free
            lower bound stretched by [prune_margin] — aborts hopeless
-           backward inductions early ({!Scheduler.Pruned}).  The cutoff
-           depends only on the baseline, so the set of orders it prunes
-           is identical whatever the jobs count;
-         - a shared incumbent (best full timeline total so far) lets a
-           worker skip the quadratic {!Timeline.evaluate} whenever the
+           backward inductions early ({!Scheduler.Pruned});
+         - the incumbent (best full timeline total so far) lets the
+           search skip the quadratic {!Timeline.evaluate} whenever the
            candidate's O(n) {!Timeline.lower_bound} already exceeds it.
-           Skipping is sound and cannot perturb the winner: the skipped
-           total would be [>= lb > incumbent >= final best], strictly
-           worse, so ties still resolve to the lowest candidate index.
+           Skipping cannot perturb the winner: the skipped total would be
+           [>= lb > incumbent >= final best], strictly worse.
 
-         The final fold runs in candidate-list order, making the chosen
-         plan byte-identical across jobs counts. *)
+         Only a strictly better total replaces the best plan, so ties
+         resolve to the lowest candidate index. *)
       (* Per-node digests for the scheduler's suffix resume: one pass
          per compile, not one per candidate order. *)
       let digests =
@@ -241,60 +237,32 @@ let compile ?(options = default_options) ctx ~pod graph =
             Timeline.lower_bound ctx s *. (1. +. options.prune_margin)
         | _ -> infinity
       in
-      let incumbent =
-        Atomic.make
-          (match base with Some (_, tl) -> tl.Timeline.total | None -> infinity)
-      in
       let rest = match orders with [] -> [] | _ :: tl -> tl in
-      let candidates =
-        Elk_util.Pool.map (Elk_util.Pool.get ())
-          (fun order ->
+      let best, tried =
+        List.fold_left
+          (fun (best, tried) order ->
             match schedule_order ~cutoff order with
-            | None -> None
+            | None -> (best, tried)
             | Some s ->
-                (* Two evaluation skips: against the static cutoff (fires
-                   deterministically — the scheduler's intermediate bound
-                   is weaker and misses candidates whose final stall-free
-                   makespan exceeds it) and against the shared incumbent
-                   (timing-dependent but sound, see above). *)
-                if
-                  Timeline.lower_bound ctx s > Float.min cutoff (Atomic.get incumbent)
-                then begin
+                let incumbent =
+                  match best with Some (_, tl) -> tl.Timeline.total | None -> infinity
+                in
+                (* Two evaluation skips: against the static cutoff (the
+                   scheduler's intermediate bound is weaker and misses
+                   candidates whose final stall-free makespan exceeds it)
+                   and against the incumbent (sound, see above).  A
+                   skipped candidate was scheduled, so it counts as tried. *)
+                if Timeline.lower_bound ctx s > Float.min cutoff incumbent then begin
                   Metrics.incr "elk_compile_orders_pruned_total"
                     ~help:
                       "Candidate preload orders pruned by the branch-and-bound lower bound";
-                  (* Scheduled but not fully evaluated: still counts as
-                     tried, keeping [orders_tried] jobs-independent. *)
-                  Some (s, None)
+                  (best, tried + 1)
                 end
-                else begin
+                else
                   let tl = timeline_of s in
-                  let rec relax () =
-                    let cur = Atomic.get incumbent in
-                    if
-                      tl.Timeline.total < cur
-                      && not (Atomic.compare_and_set incumbent cur tl.Timeline.total)
-                    then relax ()
-                  in
-                  relax ();
-                  Some (s, Some tl)
-                end)
+                  ((if tl.Timeline.total < incumbent then Some (s, tl) else best), tried + 1))
+          (base, match base with Some _ -> 1 | None -> 0)
           rest
-      in
-      let tried =
-        (match base with Some _ -> 1 | None -> 0)
-        + List.length (List.filter Option.is_some candidates)
-      in
-      let best =
-        List.fold_left
-          (fun acc c ->
-            match c with
-            | Some (s, Some tl) -> (
-                match acc with
-                | Some (_, btl) when btl.Timeline.total <= tl.Timeline.total -> acc
-                | _ -> Some (s, tl))
-            | Some (_, None) | None -> acc)
-          base candidates
       in
       let s, tl, tried =
         match best with

@@ -18,8 +18,7 @@ type options = {
           order's by more than this fraction are abandoned mid-induction.
           Negative disables the cutoff (the sound incumbent skip inside
           the search still applies).  The cutoff is derived solely from
-          the always-evaluated baseline order, so pruning — and the
-          chosen plan — is identical whatever the jobs count. *)
+          the always-evaluated baseline order. *)
 }
 
 val default_options : options
@@ -71,12 +70,10 @@ val compile :
     in execution order (some operator exceeds per-core SRAM), and
     {!Rejected} if the installed verifier flags the winning plan.
 
-    Candidate orders beyond the first are scheduled and evaluated on the
-    shared {!Elk_util.Pool} (size it with [Elk_util.Pool.set_jobs] or
-    [ELK_JOBS]); the returned plan is byte-identical whatever the jobs
-    count — ties between equal-makespan orders always resolve to the
-    lowest candidate index, and pruning uses bounds that cannot exclude
-    a winner.
+    Candidate orders are scheduled and evaluated one after another in
+    candidate-list order: ties between equal-makespan orders resolve to
+    the lowest candidate index, and pruning uses bounds that cannot
+    exclude a winner.
 
     While {!Compilecache.enabled}, compiles are served from a whole-plan
     cache keyed by a digest of (context fingerprint, options, pod, full

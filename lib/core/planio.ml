@@ -82,9 +82,18 @@ let import_ext ctx text =
                         | Error m -> failwith m)
                     | _ -> failwith "expected factors=");
                     match String.split_on_char '=' frac_attr with
-                    | [ "frac"; v ] -> fracs.(id) <- float_of_string v
+                    | [ "frac"; v ] ->
+                        (* Exported fracs are 1/2^k; anything outside (0, 1]
+                           would be silently snapped to some option. *)
+                        let f = float_of_string v in
+                        if not (Float.is_finite f && f > 0. && f <= 1.) then
+                          failwith
+                            (Printf.sprintf "entry for op %d: frac=%s outside (0, 1]" id v);
+                        fracs.(id) <- f
                     | _ -> failwith "expected frac="
-                  with e -> err := Some (Printexc.to_string e))
+                  with
+                  | Failure m -> err := Some m
+                  | e -> err := Some (Printexc.to_string e))
               | [ "layout"; id_s; kind_s; base_attr; size_attr ] -> (
                   try
                     let a_op = int_of_string id_s in

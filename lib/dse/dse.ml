@@ -57,15 +57,13 @@ let plan_elk_full_sim env graph (options : Elk.Compile.options) =
         ~max_edit_distance:options.Elk.Compile.max_edit_distance env.ctx cg
     else [ Array.init (Elk_model.Graph.length cg) (fun i -> i) ]
   in
-  (* Same shape as the search in [Compile.compile]: the head order runs
-     sequentially (deterministic baseline, warm memo caches), the rest
-     fan out on the shared domain pool under the static branch-and-bound
-     scheduler cutoff derived from the baseline.  Candidates here are
-     compared on {e simulated} totals, which the analytic lower bound
+  (* Same shape as the search in [Compile.compile]: the head order is the
+     baseline, the rest run in candidate-list order under the static
+     branch-and-bound scheduler cutoff derived from it.  Candidates here
+     are compared on {e simulated} totals, which the analytic lower bound
      does not provably bound — so, unlike [Compile.compile], there is no
-     incumbent-based evaluation skip: it could prune a simulated winner
-     and make the result depend on worker timing.  The ordered fold keeps
-     ties on the lowest candidate index. *)
+     incumbent-based evaluation skip: it could prune a simulated winner.
+     The ordered fold keeps ties on the lowest candidate index. *)
   let schedule_order ?cutoff order =
     try
       Some
@@ -94,7 +92,7 @@ let plan_elk_full_sim env graph (options : Elk.Compile.options) =
         | _ -> infinity
       in
       let candidates =
-        Elk_util.Pool.map (Elk_util.Pool.get ())
+        List.map
           (fun order ->
             match schedule_order ~cutoff order with
             | None -> None
@@ -173,7 +171,6 @@ let evaluate ?elk_options env graph design =
       }
 
 let evaluate_all ?elk_options env graph =
-  (* Design points are independent; fan them out on the shared pool.
-     [Pool.map] preserves order, and a nested order search inside an
-     Elk-Full evaluation simply runs inline on its worker. *)
-  Elk_util.Pool.map (Elk_util.Pool.get ()) (evaluate ?elk_options env graph) B.all
+  (* Design points are independent; fan them out over [Pool.map] (which
+     preserves order).  The workers share [env]'s partition memo. *)
+  Elk_util.Pool.map (evaluate ?elk_options env graph) B.all

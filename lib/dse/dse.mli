@@ -50,4 +50,5 @@ val evaluate_all :
   env ->
   Elk_model.Graph.t ->
   eval list
-(** All five designs, in {!Elk_baselines.Baselines.all} order. *)
+(** All five designs, in {!Elk_baselines.Baselines.all} order, evaluated
+    concurrently by {!Elk_util.Pool.map}. *)

@@ -87,7 +87,7 @@ let chrome_events ?(pid = 1) ?(tid = 3) () =
          numbered from [tid] by each domain's earliest recorded span
          (start, then global seq) — a content-derived key — rather than
          by raw [Domain.self] id, which depends on how many pool domains
-         were spawned before the trace (jobs count, earlier searches).
+         were spawned before the trace (job count, earlier fan-outs).
          The main domain opens the root span first, so it keeps the
          historical "compiler" track. *)
       let earliest = Hashtbl.create 8 in

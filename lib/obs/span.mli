@@ -3,8 +3,8 @@
     A span measures one contiguous region of work ({!with_span}); spans
     opened while another is running nest under it.  Nesting is tracked
     {e per domain} (via [Domain.DLS]), so spans recorded concurrently by
-    the {!Elk_util.Pool} workers of the parallel order search nest
-    correctly within their own domain instead of racing on a shared
+    the {!Elk_util.Pool} workers of [Dse.evaluate_all] nest correctly
+    within their own domain instead of racing on a shared
     stack.  Completed spans accumulate in one global collector until
     {!clear}; they can be aggregated into a per-phase table ({!totals})
     or exported as Chrome-trace events ({!chrome_events}) onto the same
@@ -51,7 +51,7 @@ val chrome_events : ?pid:int -> ?tid:int -> unit -> string list
     rebased so the earliest span starts at 0.  Domains map to
     consecutive tracks from [tid] ordered by each domain's earliest
     span (a content-derived key, independent of domain spawn order and
-    jobs count) — the main domain keeps the historical "compiler"
+    job count) — the main domain keeps the historical "compiler"
     track, pool workers appear as "compiler-wN".  Empty if nothing was
     collected.  Default [tid] is 3 — tracks 1 and 2 belong to
     {!Elk_sim.Trace}. *)

@@ -20,7 +20,7 @@
 
    Everything here is simulated time; no wall-clock value enters any
    trace or lifecycle field, so runs are byte-deterministic for a given
-   seed at any jobs count. *)
+   seed. *)
 
 module B = Elk_baselines.Baselines
 
@@ -69,7 +69,7 @@ let next_pow2 n =
 
 let token_quantum = 16
 
-let run ?(design = B.Elk_full) ?(recompile_every = 64) ?elk_options ?jobs
+let run ?(design = B.Elk_full) ?(recompile_every = 64) ?elk_options
     ?(max_batch = 8) ?(plan_cache_cap = 512) ?(noc = false) env cfg requests =
   if requests = [] then invalid_arg "Frontend.run: no requests";
   if max_batch <= 0 then invalid_arg "Frontend.run: max_batch must be positive";
@@ -82,7 +82,6 @@ let run ?(design = B.Elk_full) ?(recompile_every = 64) ?elk_options ?jobs
   in
   if not (sorted requests) then
     invalid_arg "Frontend.run: requests must be in arrival order";
-  Option.iter Elk_util.Pool.set_jobs jobs;
   (* Serve runs memoized per padded shape: the deployment's plan cache.
      Bounded — a long-tailed workload must not hold every shape it ever
      saw — with least-recently-used eviction on insert; an evicted shape

@@ -7,7 +7,7 @@
     {!Serve.serve} run — static batching with a plan cache keyed on the
     padded shape, so compile work amortizes across the workload.  Every
     lifecycle timestamp is simulated; results are byte-deterministic for
-    a given request list at any jobs count. *)
+    a given request list. *)
 
 type req_trace = {
   req : Workload.request;
@@ -55,7 +55,6 @@ val run :
   ?design:Elk_baselines.Baselines.design ->
   ?recompile_every:int ->
   ?elk_options:Elk.Compile.options ->
-  ?jobs:int ->
   ?max_batch:int ->
   ?plan_cache_cap:int ->
   ?noc:bool ->

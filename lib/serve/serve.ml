@@ -18,12 +18,9 @@ type run = {
 let round_up v quantum = (v + quantum - 1) / quantum * quantum
 
 let serve ?(design = B.Elk_full) ?(recompile_every = 64) ?(prefill = false) ?elk_options
-    ?jobs ?(noc = false) env cfg ~batch ~prompt_ctx ~tokens =
+    ?(noc = false) env cfg ~batch ~prompt_ctx ~tokens =
   if tokens <= 0 || batch <= 0 || prompt_ctx <= 0 then
     invalid_arg "Serve.serve: nonpositive workload parameter";
-  (* Every recompile in the loop goes through the shared pool; size it
-     once up front so mid-generation recompiles reuse warm domains. *)
-  Option.iter Elk_util.Pool.set_jobs jobs;
   if design = B.Ideal then invalid_arg "Serve.serve: Ideal has no executable plan";
   (* Percentile queries after the run must describe this run alone. *)
   Elk_obs.Metrics.reset_histogram "elk_serve_step_latency_seconds";

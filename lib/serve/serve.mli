@@ -44,7 +44,6 @@ val serve :
   ?recompile_every:int ->
   ?prefill:bool ->
   ?elk_options:Elk.Compile.options ->
-  ?jobs:int ->
   ?noc:bool ->
   Elk_dse.Dse.env ->
   Elk_model.Zoo.config ->
@@ -58,10 +57,7 @@ val serve :
     64), so shapes are always sufficient and plans are reused across
     steps.  With [prefill] (default false) the prompt is first processed
     through a prefill-phase plan, giving a time-to-first-token.  [design]
-    defaults to [Elk_full].  [jobs] resizes the shared compilation pool
-    ({!Elk_util.Pool.set_jobs}) before the loop, so every recompile in
-    the generation runs its order search on that many domains; plans are
-    identical whatever the value.  [noc] (default false) turns on
+    defaults to [Elk_full].  [noc] (default false) turns on
     per-link interconnect recording in each plan's simulation and fills
     the [busiest_link]/[link_busy] fields; recording is pure
     bookkeeping, so latencies are identical either way.  Raises

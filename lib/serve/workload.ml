@@ -4,7 +4,7 @@
    bursts, or a diurnal rate curve) paired with prompt- and
    output-length distributions.  Everything is driven by the repo's
    splittable PRNG (Elk_util.Xrng): the same seed always yields the
-   byte-identical request list, whatever machine, jobs count, or
+   byte-identical request list, whatever machine or
    evaluation order — the serving SLO numbers downstream inherit that
    determinism.  Three independent streams (arrivals, prompt lengths,
    output lengths) are split off the seed up front, so changing one

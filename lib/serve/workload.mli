@@ -2,8 +2,8 @@
 
     A workload pairs an arrival process with prompt- and output-length
     distributions.  Generation is fully seeded ({!Elk_util.Xrng}): the
-    same seed yields the byte-identical request list on any machine, at
-    any [--jobs] count — the SLO numbers computed downstream inherit
+    same seed yields the byte-identical request list on any machine —
+    the SLO numbers computed downstream inherit
     that determinism.  Arrivals, prompt lengths, and output lengths
     draw from three independently split streams, so changing one
     distribution never shifts the samples of another. *)

@@ -1,191 +1,50 @@
 let max_jobs = 64
 let clamp n = if n < 1 then 1 else if n > max_jobs then max_jobs else n
 
-type t = {
-  jobs : int;
-  mutex : Mutex.t;
-  nonempty : Condition.t;
-  queue : (unit -> unit) Queue.t;
-  mutable live : bool;
-  mutable workers : unit Domain.t list;
-}
+let default_jobs () =
+  match Option.bind (Sys.getenv_opt "ELK_JOBS") (fun s -> int_of_string_opt (String.trim s)) with
+  | Some n -> clamp n
+  | None -> clamp (Domain.recommended_domain_count ())
 
-(* Workers run arbitrary queued thunks; a map issued from one must not
-   block on the same pool (the sub-tasks could sit behind the very task
-   that is waiting for them), so workers mark themselves and nested maps
-   run inline. *)
-let in_worker : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
+let requested_jobs : int option ref = ref None
+let set_jobs n = requested_jobs := Some (clamp n)
+let current_jobs () = match !requested_jobs with Some n -> n | None -> default_jobs ()
 
-let rec worker_loop t =
-  Mutex.lock t.mutex;
-  while Queue.is_empty t.queue && t.live do
-    Condition.wait t.nonempty t.mutex
-  done;
-  match Queue.take_opt t.queue with
-  | None ->
-      (* Queue drained and the pool is shutting down. *)
-      Mutex.unlock t.mutex
-  | Some task ->
-      Mutex.unlock t.mutex;
-      task ();
-      worker_loop t
+(* Set while a domain computes elements of a map: a map issued from there
+   runs inline instead of spawning domains of its own. *)
+let in_map : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
 
-let create ~jobs =
-  let jobs = clamp jobs in
-  let t =
-    {
-      jobs;
-      mutex = Mutex.create ();
-      nonempty = Condition.create ();
-      queue = Queue.create ();
-      live = true;
-      workers = [];
-    }
-  in
-  if jobs > 1 then
-    t.workers <-
-      List.init (jobs - 1) (fun _ ->
-          Domain.spawn (fun () ->
-              Domain.DLS.get in_worker := true;
-              worker_loop t));
-  t
-
-let jobs t = t.jobs
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  t.live <- false;
-  Condition.broadcast t.nonempty;
-  Mutex.unlock t.mutex;
-  List.iter Domain.join t.workers;
-  t.workers <- []
-
-type ('b, 'e) cell = Ok_r of 'b | Err_r of 'e
-
-let map t f xs =
-  if t.jobs <= 1 || (not t.live) || !(Domain.DLS.get in_worker) then List.map f xs
+let map f xs =
+  let inside = Domain.DLS.get in_map in
+  let domains = min (current_jobs ()) (List.length xs) in
+  if domains <= 1 || !inside then List.map f xs
   else begin
     let arr = Array.of_list xs in
     let n = Array.length arr in
-    if n <= 1 then List.map f xs
-    else begin
-      let results = Array.make n None in
-      let remaining = Atomic.make n in
-      let done_m = Mutex.create () and done_c = Condition.create () in
-      let step i =
-        let r =
-          try Ok_r (f arr.(i))
-          with e -> Err_r (e, Printexc.get_raw_backtrace ())
-        in
-        results.(i) <- Some r;
-        if Atomic.fetch_and_add remaining (-1) = 1 then begin
-          (* Last task: wake the caller if it is already waiting. *)
-          Mutex.lock done_m;
-          Condition.broadcast done_c;
-          Mutex.unlock done_m
-        end
-      in
-      Mutex.lock t.mutex;
-      for i = 0 to n - 1 do
-        Queue.add (fun () -> step i) t.queue
-      done;
-      Condition.broadcast t.nonempty;
-      Mutex.unlock t.mutex;
-      (* The caller is a worker too: drain tasks (possibly from a
-         concurrent call — any progress is progress) until the queue is
-         empty, then wait for stragglers still running on workers. *)
-      let rec help () =
-        Mutex.lock t.mutex;
-        let task = Queue.take_opt t.queue in
-        Mutex.unlock t.mutex;
-        match task with
-        | Some task ->
-            task ();
-            if Atomic.get remaining > 0 then help ()
-        | None -> ()
-      in
-      help ();
-      Mutex.lock done_m;
-      while Atomic.get remaining > 0 do
-        Condition.wait done_c done_m
-      done;
-      Mutex.unlock done_m;
-      (* Deterministic propagation: the first (lowest-index) failure wins,
-         no matter which domain finished when. *)
-      Array.iter
-        (function
-          | Some (Err_r (e, bt)) -> Printexc.raise_with_backtrace e bt
-          | _ -> ())
-        results;
-      Array.to_list
-        (Array.map
-           (function Some (Ok_r v) -> v | Some (Err_r _) | None -> assert false)
-           results)
-    end
+    let results = Array.make n None in
+    let next = Atomic.make 0 in
+    let rec work () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <-
+          Some (try Ok (f arr.(i)) with e -> Error (e, Printexc.get_raw_backtrace ()));
+        work ()
+      end
+    in
+    let spawned =
+      List.init (domains - 1) (fun _ ->
+          Domain.spawn (fun () ->
+              Domain.DLS.get in_map := true;
+              work ()))
+    in
+    inside := true;
+    work ();
+    inside := false;
+    List.iter Domain.join spawned;
+    (* Deterministic propagation: the lowest-index failure wins, whichever
+       domain finished first. *)
+    Array.iter
+      (function Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt | _ -> ())
+      results;
+    List.map (function Some (Ok v) -> v | _ -> assert false) (Array.to_list results)
   end
-
-let filter_map t f xs = List.filter_map Fun.id (map t f xs)
-
-(* ------------------------------------------------------------------ *)
-(* Shared default pool                                                *)
-(* ------------------------------------------------------------------ *)
-
-let env_jobs () =
-  match Sys.getenv_opt "ELK_JOBS" with
-  | None -> None
-  | Some s -> Option.map clamp (int_of_string_opt (String.trim s))
-
-let default_jobs () =
-  match env_jobs () with
-  | Some n -> n
-  | None -> clamp (Domain.recommended_domain_count ())
-
-let shared_mutex = Mutex.create ()
-let shared : t option ref = ref None
-let requested_jobs : int option ref = ref None
-let exit_hook_installed = ref false
-
-let locked f =
-  Mutex.lock shared_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock shared_mutex) f
-
-let current_jobs () =
-  locked (fun () ->
-      match !shared with
-      | Some p -> p.jobs
-      | None -> (
-          match !requested_jobs with Some n -> n | None -> default_jobs ()))
-
-let get () =
-  locked (fun () ->
-      match !shared with
-      | Some p -> p
-      | None ->
-          let jobs =
-            match !requested_jobs with Some n -> n | None -> default_jobs ()
-          in
-          let p = create ~jobs in
-          shared := Some p;
-          if not !exit_hook_installed then begin
-            exit_hook_installed := true;
-            (* Workers blocked in [Condition.wait] at process exit are
-               joined here so the runtime shuts down cleanly. *)
-            at_exit (fun () ->
-                match locked (fun () -> !shared) with
-                | Some p -> shutdown p
-                | None -> ())
-          end;
-          p)
-
-let set_jobs n =
-  let n = clamp n in
-  let stale =
-    locked (fun () ->
-        requested_jobs := Some n;
-        match !shared with
-        | Some p when p.jobs <> n ->
-            shared := None;
-            Some p
-        | _ -> None)
-  in
-  match stale with None -> () | Some p -> shutdown p

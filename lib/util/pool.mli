@@ -1,68 +1,37 @@
-(** Fixed-size OCaml 5 domain pool for the compiler's embarrassingly
-    parallel fan-outs (candidate preload orders, design points, sweep
-    configurations).
+(** Per-call OCaml 5 domain fan-out for independent whole-design
+    evaluations ({!Elk_dse.Dse.evaluate_all}).
 
-    The pool owns [jobs - 1] worker domains (the calling domain is the
-    last worker: it drains the task queue too, so [jobs] domains compute).
-    Domains are spawned once and reused across calls — spawning is the
-    expensive part of [Domain.spawn], and the compile loop maps over the
-    pool thousands of times per process.
-
-    Semantics of {!map} / {!filter_map}:
+    [map f xs] spawns [min jobs (length xs) - 1] domains; they and the
+    caller take elements off a shared counter, and every domain is
+    joined before [map] returns.  Nothing outlives the call.
 
     - {b order-preserving}: results come back positionally, exactly as
-      [List.map] / [List.filter_map] would return them;
+      [List.map] would return them;
     - {b exception-propagating}: if callbacks raise, the exception of the
       {e lowest-indexed} failing element is re-raised in the caller (with
-      its backtrace) after every task of the call has finished — never a
-      silent drop, and deterministic under any interleaving;
-    - {b nested-map safe}: a map issued from inside a pool worker runs
-      sequentially inline (a blocked worker waiting on sub-tasks executed
-      by the same fixed-size pool would deadlock it);
-    - {b jobs = 1 fallback}: no domains, no queue — plain [List.map], so
-      single-core behavior is byte-for-byte the sequential compiler.
+      its backtrace) after every element has finished;
+    - {b nested-map safe}: a map issued from inside a map's callback runs
+      sequentially inline;
+    - {b jobs = 1 fallback}: no domains — plain [List.map].
 
-    The shared default pool is sized by {!set_jobs} (the CLI [--jobs]
-    flag) or the [ELK_JOBS] environment variable, defaulting to
-    [Domain.recommended_domain_count ()]; all sizes are clamped to
+    The job count is set by {!set_jobs} ([elk_dse_cli --jobs]) or the
+    [ELK_JOBS] environment variable, defaulting to
+    [Domain.recommended_domain_count ()]; all counts are clamped to
     [1..max_jobs]. *)
 
-type t
-
 val max_jobs : int
-(** Upper clamp on pool sizes (64). *)
-
-val create : jobs:int -> t
-(** A fresh pool with [jobs] (clamped) computing domains: [jobs - 1]
-    spawned workers plus the caller during {!map}. *)
-
-val jobs : t -> int
-(** The (clamped) size the pool was created with. *)
-
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Parallel [List.map] with the guarantees documented above. *)
-
-val filter_map : t -> ('a -> 'b option) -> 'a list -> 'b list
-(** Parallel [List.filter_map]: every [f] runs in parallel, [None]s are
-    dropped positionally afterwards. *)
-
-val shutdown : t -> unit
-(** Join the pool's workers.  Maps on a shut-down pool run sequentially.
-    Idempotent. *)
-
-(** {1 The process-wide shared pool} *)
+(** Upper clamp on job counts (64). *)
 
 val default_jobs : unit -> int
 (** [ELK_JOBS] when set to a valid integer, otherwise
     [Domain.recommended_domain_count ()]; clamped. *)
 
 val set_jobs : int -> unit
-(** Resize the shared pool (shutting down the previous one, joining its
-    workers).  A no-op when the size is unchanged. *)
-
-val get : unit -> t
-(** The shared pool, created on first use with {!default_jobs} and
-    registered for [at_exit] shutdown. *)
+(** Set (clamped) the job count later maps use. *)
 
 val current_jobs : unit -> int
-(** Size the shared pool has (or would be created with). *)
+(** The job count maps use: the last {!set_jobs}, else {!default_jobs}. *)
+
+val map : ('a -> 'b) -> 'a list -> 'b list
+(** Parallel [List.map] over {!current_jobs} domains, with the guarantees
+    documented above. *)

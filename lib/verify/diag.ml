@@ -23,8 +23,7 @@ type t = {
 let make ~rule ~severity ?(loc = no_loc) ?(payload = []) message =
   { rule; severity; loc; message; payload }
 
-(* Deterministic report order, independent of emission order (and hence
-   of --jobs / domain scheduling): primary key (rule, core, step), then
+(* Deterministic report order, independent of emission order: primary key (rule, core, step), then
    (op, severity, message) as a total tiebreak so equal-location
    diagnostics cannot flip between runs. *)
 let order a b =

@@ -47,8 +47,7 @@ val make :
 val order : t -> t -> int
 (** Deterministic sort key for reports: rule id first, then core, then
     step, with (op, severity, message) as a total tiebreak — independent
-    of emission order, so reports are byte-identical across runs and
-    [--jobs] settings. *)
+    of emission order, so reports are byte-identical across runs. *)
 
 val pp : Format.formatter -> t -> unit
 (** One line: [error[mem.capacity] op 3 step 2: message]. *)

@@ -120,17 +120,20 @@ let test_reorder_memo_hits () =
       Alcotest.(check bool) "plans computed" true
         (Elk.Compile.latency a > 0. && Elk.Compile.latency b > 0.))
 
-(* Warm and cold plans are identical whatever the jobs count. *)
+(* Cold and warm compiles running at once on pool domains share one
+   cache (as [Dse.evaluate_all] workers do) and still return the plans a
+   sequential ladder computes. *)
 let test_jobs_parity () =
   let ctx = Lazy.force Tu.default_ctx and pod = Lazy.force Tu.default_pod in
   let buckets = [ 64; 128 ] in
   let ladder jobs =
-    Elk_util.Pool.set_jobs jobs;
-    Fun.protect
-      ~finally:(fun () -> Elk_util.Pool.set_jobs 1)
-      (fun () ->
+    Tu.with_jobs jobs (fun () ->
         with_fresh_cache (fun () ->
-            List.map (fun b -> export (compile ctx ~pod (decode b))) buckets))
+            let run () =
+              Elk_util.Pool.map (fun b -> export (compile ctx ~pod (decode b))) buckets
+            in
+            let cold = run () in
+            cold @ run ()))
   in
   let seq = ladder 1 and par = ladder 4 in
   List.iteri
@@ -138,7 +141,7 @@ let test_jobs_parity () =
       Alcotest.(check string)
         (Printf.sprintf "ctx=%d identical across jobs" b)
         (List.nth seq i) (List.nth par i))
-    buckets
+    (buckets @ buckets)
 
 (* On-disk store: survives a reset (process restart stand-in), serves
    byte-identical plans, and ignores a bogus cache file. *)

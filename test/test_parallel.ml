@@ -1,22 +1,20 @@
-(* Determinism of the parallel branch-and-bound order search: whatever
-   the pool size, compilation must pick the same plan byte for byte, and
-   the branch-and-bound bounds must actually fire. *)
+(* The branch-and-bound order search and the domain fan-out of design
+   evaluations: the bounds must actually fire without losing the winner,
+   and work run concurrently on pool domains (sharing partition memos)
+   must give the same plans and latencies as on the main domain. *)
 
 open Elk_model
 
 let options = { Elk.Compile.default_options with max_orders = 8 }
 
-(* The compile cache is disabled here: these tests compare full searches
-   across jobs counts, and a whole-plan cache hit on the second compile
-   would make the comparison vacuous. *)
-let compile_with ~jobs ?(options = options) ctx ~pod g =
-  Elk_util.Pool.set_jobs jobs;
+(* The compile cache is disabled here: these tests compare full searches,
+   and a whole-plan cache hit on the second compile would make the
+   comparison vacuous. *)
+let compile_with ?(options = options) ctx ~pod g =
   let was = Elk.Compilecache.enabled () in
   Elk.Compilecache.set_enabled false;
   Fun.protect
-    ~finally:(fun () ->
-      Elk_util.Pool.set_jobs 1;
-      Elk.Compilecache.set_enabled was)
+    ~finally:(fun () -> Elk.Compilecache.set_enabled was)
     (fun () -> Elk.Compile.compile ~options ctx ~pod g)
 
 let fixtures () =
@@ -43,12 +41,17 @@ let fixtures () =
     ("dit/a2a", Lazy.force Tu.default_ctx, Tu.default_pod, dit);
   ]
 
+(* Compiles running at once on pool domains, sharing the partition memo
+   of their context as [Dse.evaluate_all] workers do, pick the plans a
+   main-domain compile picks. *)
 let test_plan_byte_identical () =
-  List.iter
-    (fun (label, ctx, pod, g) ->
-      let pod = Lazy.force pod in
-      let seq = compile_with ~jobs:1 ctx ~pod g in
-      let par = compile_with ~jobs:4 ctx ~pod g in
+  let fixtures = List.map (fun (l, ctx, pod, g) -> (l, ctx, Lazy.force pod, g)) (fixtures ()) in
+  let compile_all () =
+    Elk_util.Pool.map (fun (_, ctx, pod, g) -> compile_with ctx ~pod g) fixtures
+  in
+  let seq = Tu.with_jobs 1 compile_all and par = Tu.with_jobs 4 compile_all in
+  List.iter2
+    (fun (label, _, _, _) (seq, par) ->
       Alcotest.(check string)
         (label ^ ": plan bytes")
         (Elk.Planio.export seq.Elk.Compile.schedule)
@@ -56,7 +59,7 @@ let test_plan_byte_identical () =
       Alcotest.(check int)
         (label ^ ": orders tried")
         seq.Elk.Compile.orders_tried par.Elk.Compile.orders_tried)
-    (fixtures ())
+    fixtures (List.combine seq par)
 
 let counter name =
   match List.assoc_opt name (Elk_obs.Metrics.counters ()) with
@@ -83,7 +86,7 @@ let test_pruning_fires () =
           (Zoo.Decode { batch = 32; ctx = 256 })
       in
       let c =
-        compile_with ~jobs:2 ~options:tight (Lazy.force Tu.default_ctx)
+        compile_with ~options:tight (Lazy.force Tu.default_ctx)
           ~pod:(Lazy.force Tu.default_pod) g
       in
       Alcotest.(check bool) "compiled" true (Elk.Compile.latency c > 0.);
@@ -92,25 +95,37 @@ let test_pruning_fires () =
         (counter "elk_compile_orders_pruned_total" > before))
 
 let test_negative_margin_disables_cutoff () =
-  let loose = { options with Elk.Compile.prune_margin = -1. } in
-  let ctx = Lazy.force Tu.default_ctx and pod = Lazy.force Tu.default_pod in
-  let c = compile_with ~jobs:2 ~options:loose ctx ~pod (Lazy.force Tu.tiny_llama) in
-  let seq = compile_with ~jobs:1 ~options:loose ctx ~pod (Lazy.force Tu.tiny_llama) in
-  Alcotest.(check string) "plan bytes without cutoff"
-    (Elk.Planio.export seq.Elk.Compile.schedule)
-    (Elk.Planio.export c.Elk.Compile.schedule)
+  let was_enabled = Elk_obs.Control.is_enabled () in
+  Elk_obs.Control.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was_enabled then Elk_obs.Control.disable ())
+    (fun () ->
+      let attempted = counter "elk_compile_orders_tried_total"
+      and infeasible = counter "elk_compile_orders_infeasible_total" in
+      let loose = { options with Elk.Compile.prune_margin = -1. } in
+      let c =
+        compile_with ~options:loose (Lazy.force Tu.default_ctx)
+          ~pod:(Lazy.force Tu.default_pod) (Lazy.force Tu.tiny_llama)
+      in
+      (* Without a cutoff no induction is abandoned: every feasible
+         attempted order is scheduled to the end and counts as tried. *)
+      Alcotest.(check int) "no scheduler aborts"
+        (int_of_float
+           (counter "elk_compile_orders_tried_total" -. attempted
+           -. (counter "elk_compile_orders_infeasible_total" -. infeasible)))
+        c.Elk.Compile.orders_tried)
 
 let test_pruning_never_worsens_plan () =
   (* Branch-and-bound is sound: the winning makespan with pruning on
      equals the exhaustive search's (margin off). *)
   let ctx = Lazy.force Tu.default_ctx and pod = Lazy.force Tu.default_pod in
   let exhaustive =
-    compile_with ~jobs:1
+    compile_with
       ~options:{ options with Elk.Compile.prune_margin = -1. }
       ctx ~pod (Lazy.force Tu.tiny_llama)
   in
   let pruned =
-    compile_with ~jobs:4
+    compile_with
       ~options:{ options with Elk.Compile.prune_margin = 0.25 }
       ctx ~pod (Lazy.force Tu.tiny_llama)
   in
@@ -120,28 +135,25 @@ let test_pruning_never_worsens_plan () =
     exhaustive.Elk.Compile.timeline.Elk.Timeline.total
     pruned.Elk.Compile.timeline.Elk.Timeline.total
 
+(* The simulator-backed Elk-Full search gives the same answer on the
+   main domain as on a pool domain next to the other designs. *)
 let test_dse_full_sim_deterministic () =
   let env = { Elk_dse.Dse.pod = Lazy.force Tu.default_pod; ctx = Lazy.force Tu.default_ctx } in
   let g = Lazy.force Tu.tiny_llama in
-  let eval jobs =
-    Elk_util.Pool.set_jobs jobs;
-    Fun.protect
-      ~finally:(fun () -> Elk_util.Pool.set_jobs 1)
-      (fun () ->
-        Elk_dse.Dse.evaluate ~elk_options:options env g Elk_baselines.Baselines.Elk_full)
+  let direct =
+    Elk_dse.Dse.evaluate ~elk_options:options env g Elk_baselines.Baselines.Elk_full
   in
-  let seq = eval 1 and par = eval 4 in
-  Tu.check_float "elk-full sim latency" seq.Elk_dse.Dse.latency par.Elk_dse.Dse.latency
+  let pooled =
+    List.find
+      (fun (e : Elk_dse.Dse.eval) -> e.Elk_dse.Dse.design = Elk_baselines.Baselines.Elk_full)
+      (Tu.with_jobs 4 (fun () -> Elk_dse.Dse.evaluate_all ~elk_options:options env g))
+  in
+  Tu.check_float "elk-full sim latency" direct.Elk_dse.Dse.latency pooled.Elk_dse.Dse.latency
 
 let test_evaluate_all_parallel () =
   let env = { Elk_dse.Dse.pod = Lazy.force Tu.default_pod; ctx = Lazy.force Tu.default_ctx } in
   let g = Lazy.force Tu.tiny_llama in
-  let eval jobs =
-    Elk_util.Pool.set_jobs jobs;
-    Fun.protect
-      ~finally:(fun () -> Elk_util.Pool.set_jobs 1)
-      (fun () -> Elk_dse.Dse.evaluate_all ~elk_options:options env g)
-  in
+  let eval jobs = Tu.with_jobs jobs (fun () -> Elk_dse.Dse.evaluate_all ~elk_options:options env g) in
   let seq = eval 1 and par = eval 4 in
   Alcotest.(check int) "all designs" (List.length seq) (List.length par);
   List.iter2

@@ -1,7 +1,7 @@
 (* Workload generator: determinism, arrival-process shape, length
    distributions.  The determinism tests are the contract the serving
    SLO snapshots rest on: the same seed must give the byte-identical
-   request list on every run and at every jobs count. *)
+   request list on every run. *)
 
 open Elk_serve
 
@@ -18,17 +18,6 @@ let test_same_seed_identical () =
   let a = Workload.generate ~seed:123 ~n:50 poisson_spec in
   let b = Workload.generate ~seed:123 ~n:50 poisson_spec in
   Alcotest.(check string) "byte-identical" (show a) (show b)
-
-let test_jobs_independent () =
-  (* The generator never touches the pool, but the determinism contract
-     is end to end: changing the worker count must not perturb it. *)
-  let a = Workload.generate ~seed:9 ~n:32 poisson_spec in
-  Elk_util.Pool.set_jobs 1;
-  let b = Workload.generate ~seed:9 ~n:32 poisson_spec in
-  Elk_util.Pool.set_jobs 4;
-  let c = Workload.generate ~seed:9 ~n:32 poisson_spec in
-  Alcotest.(check string) "jobs=1" (show a) (show b);
-  Alcotest.(check string) "jobs=4" (show a) (show c)
 
 let test_different_seeds_differ () =
   let a = Workload.generate ~seed:1 ~n:50 poisson_spec in
@@ -136,7 +125,6 @@ let test_presets () =
 let suite =
   [
     Alcotest.test_case "same seed identical" `Quick test_same_seed_identical;
-    Alcotest.test_case "jobs independent" `Quick test_jobs_independent;
     Alcotest.test_case "different seeds differ" `Quick test_different_seeds_differ;
     Alcotest.test_case "all arrival kinds" `Quick test_all_arrival_kinds;
     Alcotest.test_case "poisson mean rate" `Quick test_poisson_mean_rate;

@@ -36,6 +36,12 @@ let mesh_schedule =
 
 let matmul_op = Elk_tensor.Opspec.matmul ~name:"t.mm" ~m:32 ~n:256 ~k:256 ()
 
+(* Run [f] with the pool's job count set to [jobs], restoring it after. *)
+let with_jobs jobs f =
+  let prev = Elk_util.Pool.current_jobs () in
+  Elk_util.Pool.set_jobs jobs;
+  Fun.protect ~finally:(fun () -> Elk_util.Pool.set_jobs prev) f
+
 let check_float = Alcotest.(check (float 1e-9))
 let check_close ?(eps = 1e-6) name a b = Alcotest.(check (float eps)) name a b
 

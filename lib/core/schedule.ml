@@ -64,7 +64,10 @@ let validate t =
   if Elk_model.Graph.length t.graph <> n then Error "entry count mismatch with graph"
   else if Array.length t.order <> n then Error "order length mismatch"
   else if Array.length t.windows <> n + 1 then Error "windows length must be N+1"
-  else if Array.exists (fun w -> w < 0) t.windows then Error "negative window"
+  (* Bounded before summing: windows past N can wrap the sum back to N,
+     and [preload_step] would then loop ~2^62 times. *)
+  else if Array.exists (fun w -> w < 0 || w > n) t.windows then
+    Error (Printf.sprintf "a window is outside 0..%d" n)
   else if Array.fold_left ( + ) 0 t.windows <> n then Error "windows do not sum to N"
   else
     match numeric_check t with

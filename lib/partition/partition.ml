@@ -88,7 +88,8 @@ module Factors_tbl = Hashtbl.Make (struct
 end)
 
 (* Everything memoized for one operator: its enumeration (filled by the
-   first {!lookup}) and its preload options per plan, keyed by factors. *)
+   first {!lookup}) and its preload options per plan, keyed by factors
+   (filled by the first {!popt_entry} for that plan). *)
 type op_memo = { mutable enum : enum_entry option; popts : popt_entry Factors_tbl.t }
 
 type ctx = {
@@ -276,41 +277,6 @@ let dim_candidates ~extent ~cores =
   done;
   List.sort compare !acc
 
-(* Enumerate factor vectors whose product stays within the core budget,
-   optionally restricted to [max_split_dims] partitioned dimensions. *)
-let factor_vectors ~iter ~cores ~max_split_dims ~cap =
-  let ndims = Array.length iter in
-  let results = ref [] and count = ref 0 in
-  let current = Array.make ndims 1 in
-  let rec go dim prod split_dims =
-    if !count >= cap then ()
-    else if dim = ndims then begin
-      results := Array.copy current :: !results;
-      incr count
-    end
-    else
-      List.iter
-        (fun f ->
-          if prod * f <= cores && (f = 1 || split_dims < max_split_dims) then begin
-            current.(dim) <- f;
-            go (dim + 1) (prod * f) (if f = 1 then split_dims else split_dims + 1);
-            current.(dim) <- 1
-          end)
-        (dim_candidates ~extent:iter.(dim) ~cores)
-  in
-  go 0 1 0;
-  !results
-
-let elem_size op = float_of_int (Dtype.size_bytes op.Opspec.dtype)
-
-let tensor_needed op tile (t : Opspec.tensor) =
-  List.fold_left (fun a d -> a *. float_of_int tile.(d)) 1. t.Opspec.dims *. elem_size op
-
-let share_group factors (t : Opspec.tensor) =
-  let g = ref 1 in
-  Array.iteri (fun d f -> if not (List.mem d t.Opspec.dims) then g := !g * f) factors;
-  !g
-
 let comm_hops chip =
   match chip.Arch.topology with
   | Arch.All_to_all -> 2
@@ -330,111 +296,181 @@ let inject_rate chip =
          roughly two useful mesh directions. *)
       Float.min chip.Arch.hbm_bandwidth (4. *. float_of_int cols *. link_bw)
 
-let plan_of_factors ctx (op : Opspec.t) factors =
-  let tile = Array.mapi (fun i f -> ceil_div op.Opspec.iter.(i) f) factors in
-  let tiles = Array.fold_left ( * ) 1 factors in
+(* An operator as costing a factor vector reads it, built once per
+   enumeration or preload-option computation: each tensor as the
+   iteration dimensions indexing it.  Inputs are split by source, each
+   class in operator order, so every float sum below adds its terms in
+   the order the operator lists them. *)
+type shape = {
+  op : Opspec.t;
+  esize : float;
+  out : int array;
+  acts : int array array;  (* on-chip inputs *)
+  hbms : int array array;  (* HBM-resident inputs: weights and KV cache *)
+}
+
+let shape_of (op : Opspec.t) =
+  let inputs keep =
+    Array.of_list
+      (List.filter_map
+         (fun (t : Opspec.tensor) ->
+           if keep t.Opspec.source then Some (Array.of_list t.Opspec.dims) else None)
+         op.Opspec.inputs)
+  in
+  {
+    op;
+    esize = float_of_int (Dtype.size_bytes op.Opspec.dtype);
+    out = Array.of_list op.Opspec.output.Opspec.dims;
+    acts = inputs (function Opspec.Activation -> true | _ -> false);
+    hbms = inputs (function Opspec.Weights | Opspec.Kv_cache -> true | _ -> false);
+  }
+
+(* Per-core bytes of a tensor's slice under [tile]. *)
+let[@inline] needed sh tile dims =
+  let v = ref 1. in
+  for j = 0 to Array.length dims - 1 do
+    v := !v *. float_of_int tile.(dims.(j))
+  done;
+  !v *. sh.esize
+
+let rec indexes dims d j = j < Array.length dims && (dims.(j) = d || indexes dims d (j + 1))
+
+(* Cores sharing one slice of a tensor: the parts of every dimension that
+   does not index it. *)
+let share_group factors dims =
+  let g = ref 1 in
+  for d = 0 to Array.length factors - 1 do
+    if not (indexes dims d 0) then g := !g * factors.(d)
+  done;
+  !g
+
+(* Cost the factor vector [factors], writing its tile into the scratch
+   [tile].  [None] when the execution space exceeds [space_cap]; the cost
+   model runs, and both arrays are copied, only for a plan that fits. *)
+let cost_factors ctx sh ~space_cap factors tile =
+  let op = sh.op in
+  let tiles = ref 1 in
+  for i = 0 to Array.length factors - 1 do
+    tile.(i) <- ceil_div op.Opspec.iter.(i) factors.(i);
+    tiles := !tiles * factors.(i)
+  done;
   let cores = ctx.chip.Arch.cores in
   (* Operators whose tiles outnumber the cores execute in [rounds]
      sequential rounds, one tile per core per round — how real compilers
      handle operators too large for one spatial pass.  Per-round working
      sets bound the execution space; HBM-resident inputs for all rounds
      must be preloaded, so they scale with [rounds]. *)
-  let rounds = ceil_div tiles cores in
-  let cores_used = min tiles cores in
-  let froll = float_of_int rounds in
-  let out_slice = tensor_needed op tile op.Opspec.output in
-  let reduce_group = share_group factors op.Opspec.output in
-  let input_needs =
-    List.map (fun t -> (t, tensor_needed op tile t, share_group factors t)) op.Opspec.inputs
-  in
-  let act_slice =
-    List.fold_left
-      (fun a ((t : Opspec.tensor), need, _) ->
-        match t.Opspec.source with Opspec.Activation -> a +. need | _ -> a)
-      0. input_needs
-  in
-  let hbm_needed_round, max_g =
-    List.fold_left
-      (fun (acc, mg) ((t : Opspec.tensor), need, g) ->
-        match t.Opspec.source with
-        | Opspec.Weights | Opspec.Kv_cache -> (acc +. need, max mg g)
-        | Opspec.Activation -> (acc, mg))
-      (0., 1) input_needs
-  in
+  let froll = float_of_int (ceil_div !tiles cores) in
+  let out_slice = needed sh tile sh.out in
+  let reduce_group = share_group factors sh.out in
+  let act_slice = ref 0. and act_fetch = ref 0. in
+  for i = 0 to Array.length sh.acts - 1 do
+    let dims = sh.acts.(i) in
+    let need = needed sh tile dims and g = share_group factors dims in
+    act_slice := !act_slice +. need;
+    if g > 1 then act_fetch := !act_fetch +. (need *. float_of_int (g - 1) /. float_of_int g)
+  done;
+  let hbm_needed_round = ref 0. and max_g = ref 1 in
+  for i = 0 to Array.length sh.hbms - 1 do
+    let dims = sh.hbms.(i) in
+    hbm_needed_round := !hbm_needed_round +. needed sh tile dims;
+    max_g := Int.max !max_g (share_group factors dims)
+  done;
   (* Execution space per core and round: the activation working set, the
      preloaded HBM slices of every round, and the output of the current
      round (plus a partial-result buffer when a reduction dimension is
      split; completed round outputs stream onward). *)
   let exec_space =
-    act_slice
-    +. (hbm_needed_round *. froll)
+    !act_slice
+    +. (!hbm_needed_round *. froll)
     +. (out_slice *. if reduce_group > 1 then 2. else 1.)
   in
-  let act_fetch =
-    List.fold_left
-      (fun a ((t : Opspec.tensor), need, g) ->
-        match t.Opspec.source with
-        | Opspec.Activation when g > 1 -> a +. (need *. float_of_int (g - 1) /. float_of_int g)
-        | _ -> a)
-      0. input_needs
-  in
-  let red_bytes =
-    if reduce_group > 1 then
-      out_slice *. float_of_int (reduce_group - 1) /. float_of_int reduce_group
-    else 0.
-  in
-  let exchange = (act_fetch +. red_bytes) *. froll in
-  let hops = comm_hops ctx.chip in
-  let t_comm =
-    if exchange > 0. then Elk_cost.Costmodel.predict_transfer ctx.cost ~hops ~bytes:exchange
-    else 0.
-  in
-  let t_compute =
-    froll
-    *. Elk_cost.Costmodel.predict_exec ctx.cost ~kind:op.Opspec.kind ~iter:tile
-  in
-  {
-    factors;
-    tile;
-    cores_used;
-    exec_space;
-    exec_time = t_compute +. t_comm;
-    compute_time = t_compute;
-    exchange_bytes_per_core = exchange;
-    hbm_needed_per_core = hbm_needed_round *. froll;
-    max_share_group = max_g;
-  }
+  if exec_space > space_cap then None
+  else begin
+    let factors = Array.copy factors and tile = Array.copy tile in
+    let red_bytes =
+      if reduce_group > 1 then
+        out_slice *. float_of_int (reduce_group - 1) /. float_of_int reduce_group
+      else 0.
+    in
+    let exchange = (!act_fetch +. red_bytes) *. froll in
+    let t_comm =
+      if exchange > 0. then
+        Elk_cost.Costmodel.predict_transfer ctx.cost ~hops:(comm_hops ctx.chip) ~bytes:exchange
+      else 0.
+    in
+    let t_compute =
+      froll *. Elk_cost.Costmodel.predict_exec ctx.cost ~kind:op.Opspec.kind ~iter:tile
+    in
+    Some
+      {
+        factors;
+        tile;
+        cores_used = min !tiles cores;
+        exec_space;
+        exec_time = t_compute +. t_comm;
+        compute_time = t_compute;
+        exchange_bytes_per_core = exchange;
+        hbm_needed_per_core = !hbm_needed_round *. froll;
+        max_share_group = !max_g;
+      }
+  end
 
-let compute_plans ctx (op : Opspec.t) =
+(* Every plan fits under an infinite cap. *)
+let plan_of_factors ctx op factors =
+  Option.get
+    (cost_factors ctx (shape_of op) ~space_cap:infinity factors
+       (Array.make (Array.length factors) 0))
+
+(* Walk the factor vectors depth first — per-dim part counts ascending,
+   product within [cores * 16] (up to 16 sequential rounds, so operators
+   bigger than one spatial pass still get plans), at most
+   [max_split_dims] partitioned dimensions, the first [max_plans * 64]
+   vectors only — in one scratch array, and keep the vectors with at
+   least [min_cores] parts that fit in SRAM. *)
+let compute_plans ctx sh =
+  let op = sh.op in
+  let iter = op.Opspec.iter in
+  let ndims = Array.length iter in
   let cores = ctx.chip.Arch.cores in
+  let bound = cores * 16 in
   let max_split_dims =
     match ctx.chip.Arch.topology with
-    | Arch.All_to_all | Arch.Clustered _ -> Array.length op.Opspec.iter
+    | Arch.All_to_all | Arch.Clustered _ -> ndims
     | Arch.Mesh2d _ -> 2
   in
-  let vectors =
-    (* Allow up to 16 sequential rounds so operators bigger than one
-       spatial pass still get plans. *)
-    factor_vectors ~iter:op.Opspec.iter ~cores:(cores * 16) ~max_split_dims
-      ~cap:(ctx.max_plans * 64)
-  in
-  let points =
-    Array.fold_left (fun a e -> if a > cores then a else a * e) 1 op.Opspec.iter
-  in
+  let cands = Array.map (fun extent -> Array.of_list (dim_candidates ~extent ~cores:bound)) iter in
+  let cap = ctx.max_plans * 64 in
+  let points = Array.fold_left (fun a e -> if a > cores then a else a * e) 1 iter in
   let min_cores = min (max 1 (cores / 4)) points in
   let sram = Arch.usable_sram_per_core ctx.chip in
-  let plans =
-    List.filter_map
-      (fun factors ->
-        let cores_used = Array.fold_left ( * ) 1 factors in
-        if cores_used < min_cores then None
-        else
-          let p = plan_of_factors ctx op factors in
-          if p.exec_space > sram then None else Some p)
-      vectors
+  let factors = Array.make ndims 1 and tile = Array.make ndims 0 in
+  let count = ref 0 and kept = ref [] in
+  let rec go dim prod split_dims =
+    if !count >= cap then ()
+    else if dim = ndims then begin
+      incr count;
+      if prod >= min_cores then
+        match cost_factors ctx sh ~space_cap:sram factors tile with
+        | Some p -> kept := p :: !kept
+        | None -> ()
+    end
+    else
+      let c = cands.(dim) in
+      for j = 0 to Array.length c - 1 do
+        let f = c.(j) in
+        if prod * f <= bound && (f = 1 || split_dims < max_split_dims) then begin
+          factors.(dim) <- f;
+          go (dim + 1) (prod * f) (if f = 1 then split_dims else split_dims + 1);
+          factors.(dim) <- 1
+        end
+      done
   in
-  (* Deduplicate by tile shape (distinct factorizations can yield the same
-     ceil-divided tile) and keep the fastest representative. *)
+  go 0 1 0;
+  (* [kept] runs from the last vector walked to the first.  Deduplicate
+     by tile shape (distinct factorizations can yield the same
+     ceil-divided tile) and keep the fastest representative, the first
+     seen in that order on ties. *)
   let table = Hashtbl.create 64 in
   List.iter
     (fun p ->
@@ -442,20 +478,111 @@ let compute_plans ctx (op : Opspec.t) =
       match Hashtbl.find_opt table key with
       | Some q when q.exec_time <= p.exec_time -> ()
       | _ -> Hashtbl.replace table key p)
-    plans;
-  let deduped = Hashtbl.fold (fun _ p acc -> p :: acc) table [] in
-  let sorted = List.sort (fun a b -> compare a.exec_time b.exec_time) deduped in
-  let truncated = List.filteri (fun i _ -> i < ctx.max_plans) sorted in
-  truncated
+    !kept;
+  let sorted = Array.of_list (Hashtbl.fold (fun _ p acc -> p :: acc) table []) in
+  Array.stable_sort (fun a b -> Float.compare a.exec_time b.exec_time) sorted;
+  List.init (min ctx.max_plans (Array.length sorted)) (Array.get sorted)
+
+(* One preload-state candidate under evaluation.  All fields are floats,
+   so the record is flat and filling it allocates nothing. *)
+type preload_point = {
+  mutable pp_space : float;
+  mutable pp_dist_bytes : float;
+  mutable pp_inject : float;
+  mutable pp_dist_time : float;
+  mutable pp_len : float;
+}
+
+(* An operator's plan-independent preload terms, with scratch for the
+   plan under evaluation.  Built per call, never shared. *)
+type preloader = {
+  pshape : shape;
+  pdevice_bytes : float;
+  pfloor : float;  (* the HBM device roofline time of all its inputs *)
+  needs : float array;  (* per HBM input: all rounds' slice bytes per core *)
+  groups : int array;  (* per HBM input: its share group *)
+  point : preload_point;
+}
+
+let preloader ctx sh =
+  let device_bytes =
+    List.fold_left
+      (fun a (t : Opspec.tensor) ->
+        match t.Opspec.source with
+        | Opspec.Weights | Opspec.Kv_cache -> a +. Opspec.tensor_bytes sh.op t
+        | Opspec.Activation -> a)
+      0. sh.op.Opspec.inputs
+  in
+  let n = Array.length sh.hbms in
+  {
+    pshape = sh;
+    pdevice_bytes = device_bytes;
+    pfloor = (if n = 0 then 0. else Elk_cost.Costmodel.hbm_time ctx.cost ~bytes:device_bytes);
+    needs = Array.make n 0.;
+    groups = Array.make n 1;
+    point = { pp_space = 0.; pp_dist_bytes = 0.; pp_inject = 0.; pp_dist_time = 0.; pp_len = 0. };
+  }
+
+(* Load [plan]'s HBM inputs into the scratch; return the largest share
+   group. *)
+let load_plan ctx pl plan =
+  let rounds = ceil_div (Array.fold_left ( * ) 1 plan.factors) ctx.chip.Arch.cores in
+  let max_g = ref 1 in
+  for i = 0 to Array.length pl.needs - 1 do
+    let dims = pl.pshape.hbms.(i) in
+    (* All rounds' HBM-resident slices must be delivered to the core. *)
+    pl.needs.(i) <- needed pl.pshape plan.tile dims *. float_of_int rounds;
+    let g = share_group plan.factors dims in
+    pl.groups.(i) <- g;
+    max_g := Int.max !max_g g
+  done;
+  !max_g
+
+(* The broadcast fractions tried for a largest share group [max_g], in
+   ascending order: [1/max_g], then the [halvings max_g] powers of two
+   from the smallest above [1/max_g] up to 1. *)
+let halvings max_g =
+  let k = ref 0 and f = ref 1. in
+  while !f *. float_of_int max_g > 1.000001 do
+    incr k;
+    f := !f /. 2.
+  done;
+  !k
+
+let frac_at ~max_g ~halvings i =
+  if i = 0 then 1. /. float_of_int max_g else Float.ldexp 1. (i - halvings)
+
+(* Fill [pl.point] with the preload state of the loaded plan that
+   broadcasts [frac] of each shared input at preload time. *)
+let eval_frac ctx pl plan frac =
+  let space = ref 0. and dist_bytes = ref 0. and inject = ref 0. in
+  for i = 0 to Array.length pl.needs - 1 do
+    let need = pl.needs.(i) in
+    let f = Float.max frac (1. /. float_of_int pl.groups.(i)) in
+    space := !space +. (need *. f);
+    dist_bytes := !dist_bytes +. (need *. (1. -. f));
+    inject := !inject +. (need *. f *. float_of_int plan.cores_used)
+  done;
+  let pt = pl.point in
+  pt.pp_space <- !space;
+  pt.pp_dist_bytes <- !dist_bytes;
+  pt.pp_inject <- !inject;
+  pt.pp_dist_time <-
+    (if !dist_bytes > 0. then
+       Elk_cost.Costmodel.predict_transfer ctx.cost ~hops:(comm_hops ctx.chip) ~bytes:!dist_bytes
+     else 0.);
+  pt.pp_len <-
+    Float.max pl.pfloor
+      (Float.max (!inject /. inject_rate ctx.chip)
+         (!space /. ctx.chip.Arch.intercore_link.Arch.bandwidth))
+
+(* {!preload_overhead} of [pl.point]. *)
+let point_overhead pl =
+  pl.point.pp_dist_time +. Float.max 0. (pl.point.pp_len -. pl.pfloor)
 
 let compute_preload_options ctx (op : Opspec.t) plan =
-  let hbm_inputs =
-    List.filter
-      (fun (t : Opspec.tensor) ->
-        match t.Opspec.source with Opspec.Weights | Opspec.Kv_cache -> true | _ -> false)
-      op.Opspec.inputs
-  in
-  if hbm_inputs = [] then
+  let pl = preloader ctx (shape_of op) in
+  if Array.length pl.needs = 0 then
     [
       {
         frac = 1.;
@@ -469,59 +596,23 @@ let compute_preload_options ctx (op : Opspec.t) plan =
       };
     ]
   else begin
-    let rounds =
-      ceil_div (Array.fold_left ( * ) 1 plan.factors) ctx.chip.Arch.cores
-    in
-    let needs =
-      (* All rounds' HBM-resident slices must be delivered to the core. *)
-      List.map
-        (fun t ->
-          ( tensor_needed op plan.tile t *. float_of_int rounds,
-            share_group plan.factors t ))
-        hbm_inputs
-    in
-    let device_bytes = List.fold_left (fun a (t : Opspec.tensor) -> a +. Opspec.tensor_bytes op t) 0. hbm_inputs in
-    let max_g = List.fold_left (fun a (_, g) -> max a g) 1 needs in
-    let rec fracs acc f =
-      if f *. float_of_int max_g <= 1.000001 then (1. /. float_of_int max_g) :: acc
-      else fracs (f :: acc) (f /. 2.)
-    in
-    let candidates = List.sort_uniq compare (fracs [] 1.) in
-    let hops = comm_hops ctx.chip in
-    let hbm_floor = Elk_cost.Costmodel.hbm_time ctx.cost ~bytes:device_bytes in
-    let link_bw = ctx.chip.Arch.intercore_link.Arch.bandwidth in
+    let max_g = load_plan ctx pl plan in
+    let halvings = halvings max_g in
     let opts =
-      List.map
-        (fun frac ->
-          let preload_space, dist_bytes, inject =
-            List.fold_left
-              (fun (ps, db, inj) (need, g) ->
-                let f = Float.max frac (1. /. float_of_int g) in
-                ( ps +. (need *. f),
-                  db +. (need *. (1. -. f)),
-                  inj +. (need *. f *. float_of_int plan.cores_used) ))
-              (0., 0., 0.) needs
-          in
-          let dist_time =
-            if dist_bytes > 0. then
-              Elk_cost.Costmodel.predict_transfer ctx.cost ~hops ~bytes:dist_bytes
-            else 0.
-          in
-          let preload_len =
-            Float.max hbm_floor
-              (Float.max (inject /. inject_rate ctx.chip) (preload_space /. link_bw))
-          in
+      List.init (halvings + 1) (fun i ->
+          let frac = frac_at ~max_g ~halvings i in
+          eval_frac ctx pl plan frac;
+          let pt = pl.point in
           {
             frac;
-            preload_space;
-            dist_bytes_per_core = dist_bytes;
-            dist_time;
-            hbm_device_bytes = device_bytes;
-            noc_inject_bytes = inject;
-            preload_len;
-            hbm_floor;
+            preload_space = pt.pp_space;
+            dist_bytes_per_core = pt.pp_dist_bytes;
+            dist_time = pt.pp_dist_time;
+            hbm_device_bytes = pl.pdevice_bytes;
+            noc_inject_bytes = pt.pp_inject;
+            preload_len = pt.pp_len;
+            hbm_floor = pl.pfloor;
           })
-        candidates
     in
     let frontier =
       Pareto.frontier
@@ -534,16 +625,34 @@ let compute_preload_options ctx (op : Opspec.t) plan =
     | pts -> List.map (fun p -> p.Pareto.payload) pts
   end
 
+(* The least {!preload_overhead} among [preload_options ctx op plan],
+   computed over the same candidates without building them.  The
+   options' frontier keeps the least non-NaN overhead below infinity;
+   when there is none the options fall back to the first candidate, and
+   an infinite overhead there counts as none. *)
+let best_overhead ctx pl plan =
+  if Array.length pl.needs = 0 then 0.
+  else begin
+    let max_g = load_plan ctx pl plan in
+    let halvings = halvings max_g in
+    let best = ref infinity and first = ref 0. in
+    for i = 0 to halvings do
+      eval_frac ctx pl plan (frac_at ~max_g ~halvings i);
+      let y = point_overhead pl in
+      if i = 0 then first := y;
+      if y < !best then best := y
+    done;
+    if !best < infinity then !best else if Float.is_nan !first then !first else 0.
+  end
 
-(* The memo is shared across the scheduler domains of the parallel order
-   search, so every access is serialized under [ctx.lock].  A hit takes
-   the lock once: one structural hash of the operator, then a field read
-   or one factors-keyed find.  The compute itself runs {e outside} the
-   lock: it is a pure function of the key, and [lookup]/[popt_entry] are
-   mutually recursive, so holding the (non-reentrant) mutex across it
-   would self-deadlock.  If two domains miss the same key concurrently
-   both compute it; the first to publish wins and the duplicate —
-   structurally identical — is dropped. *)
+(* The memo is shared by the design workers of [Dse.evaluate_all] (and
+   by every context with the same fingerprint), so every access is
+   serialized under [ctx.lock].  A hit takes the lock once: one
+   structural hash of the operator, then a field read or one
+   factors-keyed find.  The compute itself runs {e outside} the lock: it
+   is a pure function of the key.  If two workers miss the same key
+   concurrently both compute it; the first to publish wins and the
+   duplicate — structurally identical — is dropped. *)
 
 (* Under [ctx.lock]: the operator's memo record, created empty on first
    sight. *)
@@ -555,7 +664,7 @@ let op_memo ctx op =
       Op_tbl.add ctx.memo op m;
       m
 
-(* Publish a value computed outside the lock unless another domain
+(* Publish a value computed outside the lock unless another worker
    already did; return the published one. *)
 let publish ctx find add v =
   Mutex.lock ctx.lock;
@@ -569,7 +678,7 @@ let publish ctx find add v =
   Mutex.unlock ctx.lock;
   v
 
-let rec lookup ctx op =
+let lookup ctx op =
   Mutex.lock ctx.lock;
   let m = op_memo ctx op in
   match m.enum with
@@ -578,19 +687,14 @@ let rec lookup ctx op =
       e
   | None ->
       Mutex.unlock ctx.lock;
-      let plans = compute_plans ctx op in
+      let sh = shape_of op in
+      let plans = compute_plans ctx sh in
+      let pl = preloader ctx sh in
       let frontier =
         Pareto.frontier
           (List.map
              (fun p ->
-               let overhead =
-                 List.fold_left
-                   (fun a o -> Float.min a (preload_overhead o))
-                   infinity
-                   (popt_entry ctx op p).opts
-               in
-               let overhead = if overhead = infinity then 0. else overhead in
-               { Pareto.x = p.exec_space; y = p.exec_time +. overhead; payload = p })
+               { Pareto.x = p.exec_space; y = p.exec_time +. best_overhead ctx pl p; payload = p })
              plans)
       in
       publish ctx
@@ -598,7 +702,9 @@ let rec lookup ctx op =
         (fun e -> m.enum <- Some e)
         { plans; frontier; exec = tradeoff_of_points frontier }
 
-and popt_entry ctx op plan =
+(* Filled on the first request for a plan's options, not by [lookup]:
+   most enumerated plans never leave the exec frontier's construction. *)
+let popt_entry ctx op plan =
   Mutex.lock ctx.lock;
   let m = op_memo ctx op in
   match Factors_tbl.find_opt m.popts plan.factors with

@@ -23,7 +23,11 @@
     Plan enumeration and preload options are memoized per operator, keyed
     on the operator's structure (the fields {!plan_signature} digests, not
     its name), so the identical layers of an LLM cost one enumeration and
-    a memo hit builds no key. *)
+    a memo hit builds no key.  A plan's preload options are computed and
+    memoized on the first request for them ({!preload_options},
+    {!preload_tradeoff}), not when the operator is enumerated: the exec
+    frontier needs only each plan's least overhead, which enumeration
+    computes without building the options. *)
 
 type ctx
 (** Enumeration context: chip, trained cost model, memo tables. *)
@@ -59,7 +63,8 @@ val shared_store_count : unit -> int
 val memo_sizes : ctx -> int * int
 (** [(enumeration entries, preload-option entries)] currently memoized in
     this context's tables — observability for cache-hit accounting.  A
-    preload-option entry is one (operator, [plan.factors]) pair. *)
+    preload-option entry is one (operator, [plan.factors]) pair whose
+    options someone has asked for: enumerating an operator adds none. *)
 
 type plan = {
   factors : int array;  (** parts per iteration dimension. *)
@@ -126,7 +131,7 @@ val preload_options : ctx -> Elk_tensor.Opspec.t -> plan -> preload_opt list
     (Tradeoffs 2-3 of Fig 11), from minimal residency ([frac = 1/g]) to
     full broadcast ([frac = 1]), sorted by increasing [preload_space].
     Operators with no HBM-resident inputs get a single zero option.
-    Memoized per (operator, [plan.factors]). *)
+    Memoized per (operator, [plan.factors]) on the first request. *)
 
 (** {1 Frontiers as arrays}
 

@@ -1,14 +1,25 @@
 type 'a point = { x : float; y : float; payload : 'a }
 
 let frontier pts =
-  (* Sort by (x, y); then a single left-to-right scan keeps a point iff its
-     y strictly improves on the best y seen so far. *)
-  let sorted = List.stable_sort (fun a b -> compare (a.x, a.y) (b.x, b.y)) pts in
-  let rec scan best acc = function
-    | [] -> List.rev acc
-    | p :: rest -> if p.y < best then scan p.y (p :: acc) rest else scan best acc rest
-  in
-  scan infinity [] sorted
+  (* Stable-sort by (x, y) — [Float.compare] orders NaN first and ±0 as
+     equal, as polymorphic compare does, without building tuples — then a
+     single left-to-right scan keeps a point iff its y strictly improves
+     on the best y seen so far. *)
+  let sorted = Array.of_list pts in
+  Array.stable_sort
+    (fun a b ->
+      let c = Float.compare a.x b.x in
+      if c <> 0 then c else Float.compare a.y b.y)
+    sorted;
+  let best = ref infinity and kept = ref [] in
+  for i = 0 to Array.length sorted - 1 do
+    let p = sorted.(i) in
+    if p.y < !best then begin
+      best := p.y;
+      kept := p :: !kept
+    end
+  done;
+  List.rev !kept
 
 let is_frontier pts =
   let rec go = function

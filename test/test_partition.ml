@@ -264,6 +264,407 @@ let test_shared_memo_across_contexts () =
       let m1, _ = Partition.memo_sizes c1 in
       Alcotest.(check int) "reset empties live contexts" 0 m1)
 
+(* The list-based enumeration the streaming walk replaced, kept verbatim
+   in substance as the reference the memoized accessors must reproduce
+   bit for bit: every factor vector materialised as an [int array] in a
+   list, every vector costed before the SRAM filter, and the exec
+   frontier read through every plan's full option list. *)
+module Ref_partition = struct
+  open Elk_arch
+  module P = Partition
+
+  let ceil_div a b = (a + b - 1) / b
+
+  let dim_candidates ~extent ~cores =
+    let bound = min extent cores in
+    let acc = ref [] in
+    let add v = if v >= 1 && v <= bound && not (List.mem v !acc) then acc := v :: !acc in
+    add 1;
+    let d = ref 1 in
+    while !d * !d <= extent do
+      if extent mod !d = 0 then begin
+        add !d;
+        add (extent / !d)
+      end;
+      incr d
+    done;
+    let p = ref 1 in
+    while !p <= bound do
+      add !p;
+      p := !p * 2
+    done;
+    List.sort compare !acc
+
+  let factor_vectors ~iter ~cores ~max_split_dims ~cap =
+    let ndims = Array.length iter in
+    let results = ref [] and count = ref 0 in
+    let current = Array.make ndims 1 in
+    let rec go dim prod split_dims =
+      if !count >= cap then ()
+      else if dim = ndims then begin
+        results := Array.copy current :: !results;
+        incr count
+      end
+      else
+        List.iter
+          (fun f ->
+            if prod * f <= cores && (f = 1 || split_dims < max_split_dims) then begin
+              current.(dim) <- f;
+              go (dim + 1) (prod * f) (if f = 1 then split_dims else split_dims + 1);
+              current.(dim) <- 1
+            end)
+          (dim_candidates ~extent:iter.(dim) ~cores)
+    in
+    go 0 1 0;
+    !results
+
+  let elem_size op = float_of_int (Elk_tensor.Dtype.size_bytes op.Opspec.dtype)
+
+  let tensor_needed op tile (t : Opspec.tensor) =
+    List.fold_left (fun a d -> a *. float_of_int tile.(d)) 1. t.Opspec.dims *. elem_size op
+
+  let share_group factors (t : Opspec.tensor) =
+    let g = ref 1 in
+    Array.iteri (fun d f -> if not (List.mem d t.Opspec.dims) then g := !g * f) factors;
+    !g
+
+  let comm_hops chip =
+    match chip.Arch.topology with
+    | Arch.All_to_all -> 2
+    | Arch.Clustered _ -> 3
+    | Arch.Mesh2d _ -> 1
+
+  let plan_of_factors chip cost (op : Opspec.t) factors =
+    let tile = Array.mapi (fun i f -> ceil_div op.Opspec.iter.(i) f) factors in
+    let tiles = Array.fold_left ( * ) 1 factors in
+    let cores = chip.Arch.cores in
+    let rounds = ceil_div tiles cores in
+    let cores_used = min tiles cores in
+    let froll = float_of_int rounds in
+    let out_slice = tensor_needed op tile op.Opspec.output in
+    let reduce_group = share_group factors op.Opspec.output in
+    let input_needs =
+      List.map (fun t -> (t, tensor_needed op tile t, share_group factors t)) op.Opspec.inputs
+    in
+    let act_slice =
+      List.fold_left
+        (fun a ((t : Opspec.tensor), need, _) ->
+          match t.Opspec.source with Opspec.Activation -> a +. need | _ -> a)
+        0. input_needs
+    in
+    let hbm_needed_round, max_g =
+      List.fold_left
+        (fun (acc, mg) ((t : Opspec.tensor), need, g) ->
+          match t.Opspec.source with
+          | Opspec.Weights | Opspec.Kv_cache -> (acc +. need, max mg g)
+          | Opspec.Activation -> (acc, mg))
+        (0., 1) input_needs
+    in
+    let exec_space =
+      act_slice
+      +. (hbm_needed_round *. froll)
+      +. (out_slice *. if reduce_group > 1 then 2. else 1.)
+    in
+    let act_fetch =
+      List.fold_left
+        (fun a ((t : Opspec.tensor), need, g) ->
+          match t.Opspec.source with
+          | Opspec.Activation when g > 1 -> a +. (need *. float_of_int (g - 1) /. float_of_int g)
+          | _ -> a)
+        0. input_needs
+    in
+    let red_bytes =
+      if reduce_group > 1 then
+        out_slice *. float_of_int (reduce_group - 1) /. float_of_int reduce_group
+      else 0.
+    in
+    let exchange = (act_fetch +. red_bytes) *. froll in
+    let hops = comm_hops chip in
+    let t_comm =
+      if exchange > 0. then Elk_cost.Costmodel.predict_transfer cost ~hops ~bytes:exchange
+      else 0.
+    in
+    let t_compute =
+      froll *. Elk_cost.Costmodel.predict_exec cost ~kind:op.Opspec.kind ~iter:tile
+    in
+    {
+      P.factors;
+      tile;
+      cores_used;
+      exec_space;
+      exec_time = t_compute +. t_comm;
+      compute_time = t_compute;
+      exchange_bytes_per_core = exchange;
+      hbm_needed_per_core = hbm_needed_round *. froll;
+      max_share_group = max_g;
+    }
+
+  let compute_plans chip cost ~max_plans (op : Opspec.t) =
+    let cores = chip.Arch.cores in
+    let max_split_dims =
+      match chip.Arch.topology with
+      | Arch.All_to_all | Arch.Clustered _ -> Array.length op.Opspec.iter
+      | Arch.Mesh2d _ -> 2
+    in
+    let vectors =
+      factor_vectors ~iter:op.Opspec.iter ~cores:(cores * 16) ~max_split_dims
+        ~cap:(max_plans * 64)
+    in
+    let points =
+      Array.fold_left (fun a e -> if a > cores then a else a * e) 1 op.Opspec.iter
+    in
+    let min_cores = min (max 1 (cores / 4)) points in
+    let sram = Arch.usable_sram_per_core chip in
+    let plans =
+      List.filter_map
+        (fun factors ->
+          let cores_used = Array.fold_left ( * ) 1 factors in
+          if cores_used < min_cores then None
+          else
+            let p = plan_of_factors chip cost op factors in
+            if p.P.exec_space > sram then None else Some p)
+        vectors
+    in
+    let table = Hashtbl.create 64 in
+    List.iter
+      (fun p ->
+        let key = Array.to_list p.P.tile in
+        match Hashtbl.find_opt table key with
+        | Some q when q.P.exec_time <= p.P.exec_time -> ()
+        | _ -> Hashtbl.replace table key p)
+      plans;
+    let deduped = Hashtbl.fold (fun _ p acc -> p :: acc) table [] in
+    let sorted = List.sort (fun a b -> compare a.P.exec_time b.P.exec_time) deduped in
+    List.filteri (fun i _ -> i < max_plans) sorted
+
+  let compute_preload_options chip cost (op : Opspec.t) (plan : P.plan) =
+    let hbm_inputs =
+      List.filter
+        (fun (t : Opspec.tensor) ->
+          match t.Opspec.source with Opspec.Weights | Opspec.Kv_cache -> true | _ -> false)
+        op.Opspec.inputs
+    in
+    if hbm_inputs = [] then
+      [
+        {
+          P.frac = 1.;
+          preload_space = 0.;
+          dist_bytes_per_core = 0.;
+          dist_time = 0.;
+          hbm_device_bytes = 0.;
+          noc_inject_bytes = 0.;
+          preload_len = 0.;
+          hbm_floor = 0.;
+        };
+      ]
+    else begin
+      let rounds = ceil_div (Array.fold_left ( * ) 1 plan.P.factors) chip.Arch.cores in
+      let needs =
+        List.map
+          (fun t ->
+            (tensor_needed op plan.P.tile t *. float_of_int rounds, share_group plan.P.factors t))
+          hbm_inputs
+      in
+      let device_bytes =
+        List.fold_left (fun a (t : Opspec.tensor) -> a +. Opspec.tensor_bytes op t) 0. hbm_inputs
+      in
+      let max_g = List.fold_left (fun a (_, g) -> max a g) 1 needs in
+      let rec fracs acc f =
+        if f *. float_of_int max_g <= 1.000001 then (1. /. float_of_int max_g) :: acc
+        else fracs (f :: acc) (f /. 2.)
+      in
+      let candidates = List.sort_uniq compare (fracs [] 1.) in
+      let hops = comm_hops chip in
+      let hbm_floor = Elk_cost.Costmodel.hbm_time cost ~bytes:device_bytes in
+      let link_bw = chip.Arch.intercore_link.Arch.bandwidth in
+      let opts =
+        List.map
+          (fun frac ->
+            let preload_space, dist_bytes, inject =
+              List.fold_left
+                (fun (ps, db, inj) (need, g) ->
+                  let f = Float.max frac (1. /. float_of_int g) in
+                  ( ps +. (need *. f),
+                    db +. (need *. (1. -. f)),
+                    inj +. (need *. f *. float_of_int plan.P.cores_used) ))
+                (0., 0., 0.) needs
+            in
+            let dist_time =
+              if dist_bytes > 0. then
+                Elk_cost.Costmodel.predict_transfer cost ~hops ~bytes:dist_bytes
+              else 0.
+            in
+            let preload_len =
+              Float.max hbm_floor
+                (Float.max (inject /. P.inject_rate chip) (preload_space /. link_bw))
+            in
+            {
+              P.frac;
+              preload_space;
+              dist_bytes_per_core = dist_bytes;
+              dist_time;
+              hbm_device_bytes = device_bytes;
+              noc_inject_bytes = inject;
+              preload_len;
+              hbm_floor;
+            })
+          candidates
+      in
+      let frontier =
+        Pareto.frontier
+          (List.map
+             (fun o -> { Pareto.x = o.P.preload_space; y = P.preload_overhead o; payload = o })
+             opts)
+      in
+      match frontier with
+      | [] -> [ List.hd opts ]
+      | pts -> List.map (fun p -> p.Pareto.payload) pts
+    end
+
+  let exec_frontier chip cost plans op =
+    Pareto.frontier
+      (List.map
+         (fun p ->
+           let overhead =
+             List.fold_left
+               (fun a o -> Float.min a (P.preload_overhead o))
+               infinity
+               (compute_preload_options chip cost op p)
+           in
+           let overhead = if overhead = infinity then 0. else overhead in
+           { Pareto.x = p.P.exec_space; y = p.P.exec_time +. overhead; payload = p })
+         plans)
+end
+
+let render_plan (p : Partition.plan) =
+  Printf.sprintf "<%s> tile=%s cores=%d space=%h time=%h compute=%h exchange=%h hbm=%h g=%d"
+    (String.concat "," (List.map string_of_int (Array.to_list p.Partition.factors)))
+    (String.concat "x" (List.map string_of_int (Array.to_list p.Partition.tile)))
+    p.Partition.cores_used p.Partition.exec_space p.Partition.exec_time
+    p.Partition.compute_time p.Partition.exchange_bytes_per_core
+    p.Partition.hbm_needed_per_core p.Partition.max_share_group
+
+let render_opt (o : Partition.preload_opt) =
+  Printf.sprintf "frac=%h space=%h dist=%h dist_t=%h dev=%h inject=%h len=%h floor=%h"
+    o.Partition.frac o.Partition.preload_space o.Partition.dist_bytes_per_core
+    o.Partition.dist_time o.Partition.hbm_device_bytes o.Partition.noc_inject_bytes
+    o.Partition.preload_len o.Partition.hbm_floor
+
+let render_point p = Printf.sprintf "(%h, %h) %s" p.Pareto.x p.Pareto.y (render_plan p.Pareto.payload)
+
+(* [None] when every memoized accessor agrees with [Ref_partition] on
+   [op], else the first disagreement. *)
+let ref_mismatch c op =
+  let chip = Partition.ctx_chip c and cost = Partition.ctx_cost c in
+  let ref_plans = Ref_partition.compute_plans chip cost ~max_plans:512 op in
+  let ref_frontier = Ref_partition.exec_frontier chip cost ref_plans op in
+  let plans = Partition.enumerate c op in
+  let t = Partition.exec_tradeoff c op in
+  let tradeoff_points =
+    List.init (Array.length t.Partition.spaces) (fun i ->
+        { Pareto.x = t.Partition.spaces.(i); y = t.Partition.times.(i);
+          payload = t.Partition.payloads.(i) })
+  in
+  let differ what render a b () =
+    let a = List.map render a and b = List.map render b in
+    if a = b then None
+    else Some (Printf.sprintf "%s of %s:\n%s\nreference:\n%s" what
+                 (Partition.plan_signature op) (String.concat "\n" a) (String.concat "\n" b))
+  in
+  List.find_map
+    (fun check -> check ())
+    (differ "enumerate" render_plan plans ref_plans
+    :: differ "exec_frontier" render_point (Partition.exec_frontier c op) ref_frontier
+    :: differ "exec_tradeoff" render_point tradeoff_points ref_frontier
+    :: List.map
+         (fun p ->
+           differ
+             ("preload_options " ^ render_plan p)
+             render_opt (Partition.preload_options c op p)
+             (Ref_partition.compute_preload_options chip cost op p))
+         plans)
+
+(* Random operators: up to four iteration dimensions, extents that are
+   small, powers of two or awkward, one to three inputs indexed by random
+   dimension subsets from every source, every dtype size. *)
+let gen_opspec =
+  let open QCheck2.Gen in
+  let* n = int_range 1 4 in
+  let extent = oneof [ int_range 1 48; map (fun k -> 1 lsl k) (int_range 0 10); int_range 1 3000 ] in
+  let* iter = array_size (return n) extent in
+  let subset =
+    map
+      (fun bits -> List.filter (fun d -> bits land (1 lsl d) <> 0) (List.init n Fun.id))
+      (int_bound ((1 lsl n) - 1))
+  in
+  let input i =
+    map2
+      (fun dims source -> { Opspec.t_name = "in" ^ string_of_int i; dims; source })
+      subset
+      (oneofl [ Opspec.Weights; Opspec.Kv_cache; Opspec.Activation ])
+  in
+  let* ninputs = int_range 1 3 in
+  let* inputs = flatten_l (List.init ninputs input) in
+  let* output = map (fun dims -> { Opspec.t_name = "out"; dims; source = Opspec.Activation }) subset in
+  let* kind = oneofl [ "matmul"; "batch_matmul"; "softmax"; "silu"; "custom" ] in
+  let* dtype = oneofl Elk_tensor.Dtype.[ Fp32; Fp16; Bf16; Int8 ] in
+  let+ flops_per_point = oneofl [ 0.5; 1.; 2.; 5. ] in
+  { Opspec.name = "q"; kind; iter; inputs; output; flops_per_point; dtype }
+
+(* The default chip with links that move 5e-324 B/s: preload lengths
+   overflow to infinity and transfer predictions turn NaN, so the
+   fallbacks for options without a finite overhead run. *)
+let slow_link_ctx =
+  lazy
+    (let chip = (Lazy.force Tu.default_pod).Elk_arch.Arch.chip in
+     let link = { chip.Elk_arch.Arch.intercore_link with Elk_arch.Arch.bandwidth = 5e-324 } in
+     Partition.make_ctx
+       (Elk_cost.Costmodel.train ~samples_per_kind:60
+          { chip with Elk_arch.Arch.intercore_link = link }))
+
+let qcheck_matches_reference =
+  let chips = [ ("a2a", ctx); ("mesh", mctx); ("slow-link", fun () -> Lazy.force slow_link_ctx) ] in
+  let prop ((_, c), op) =
+    match ref_mismatch (c ()) op with
+    | None -> true
+    | Some m -> QCheck2.Test.fail_report m
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |])
+    (QCheck2.Test.make ~count:200 ~name:"partition: matches the list enumeration"
+       ~print:(fun ((chip, _), op) -> chip ^ " " ^ Partition.plan_signature op)
+       QCheck2.Gen.(pair (oneofl chips) gen_opspec)
+       prop)
+
+(* Every distinct chip-graph operator of the zoo at the CLI defaults
+   (scale 8, layer factor 10, batch 32, context 256) on both topologies. *)
+let test_zoo_matches_reference () =
+  let chips = (Lazy.force Tu.default_pod).Elk_arch.Arch.chips in
+  let seen = Hashtbl.create 256 in
+  List.iter
+    (fun cfg ->
+      let g =
+        Elk.Sharding.shard_graph ~chips
+          (Elk_model.Zoo.build
+             (Elk_model.Zoo.scale cfg ~factor:8 ~layer_factor:10)
+             (Elk_model.Zoo.Decode { batch = 32; ctx = 256 }))
+      in
+      Array.iter
+        (fun (node : Elk_model.Graph.node) ->
+          let op = node.Elk_model.Graph.op in
+          let key = Partition.plan_signature op in
+          if not (Hashtbl.mem seen key) then begin
+            Hashtbl.add seen key ();
+            List.iter
+              (fun c ->
+                match ref_mismatch c op with
+                | None -> ()
+                | Some m -> Alcotest.failf "%s: %s" op.Opspec.name m)
+              [ ctx (); mctx () ]
+          end)
+        (Elk_model.Graph.nodes g))
+    Elk_model.Zoo.all;
+  Alcotest.(check bool) "zoo operators covered" true (Hashtbl.length seen > 50)
+
 let qcheck_enumerate_valid =
   Tu.qtest ~count:25 "partition: random matmuls produce consistent plans"
     QCheck2.Gen.(triple (int_range 1 64) (int_range 8 512) (int_range 8 512))
@@ -278,6 +679,40 @@ let qcheck_enumerate_valid =
           && p.Partition.cores_used
              = min cores (Array.fold_left ( * ) 1 p.Partition.factors))
         (Partition.enumerate c op))
+
+let test_cold_word_budget () =
+  (* Deterministic allocation gate on cold enumeration: the exec tradeoff
+     of every distinct chip-graph operator of llama2-13b (CLI defaults:
+     scale 8, layer factor 10, batch 32, context 256; 15 distinct of 87)
+     on a private context with empty memo tables.  Measured: 531,493
+     minor words with the streamed factor walk, scalar frontier overheads
+     and preload options left to the first request; 2,207,105 with
+     materialised factor vectors, every vector costed and every plan's
+     options memoized. *)
+  let chips = (Lazy.force Tu.default_pod).Elk_arch.Arch.chips in
+  let g =
+    Elk.Sharding.shard_graph ~chips
+      (Elk_model.Zoo.build
+         (Elk_model.Zoo.scale Elk_model.Zoo.llama2_13b ~factor:8 ~layer_factor:10)
+         (Elk_model.Zoo.Decode { batch = 32; ctx = 256 }))
+  in
+  let was = Partition.memo_sharing () in
+  Partition.set_memo_sharing false;
+  let c =
+    Fun.protect
+      ~finally:(fun () -> Partition.set_memo_sharing was)
+      (fun () -> Partition.make_ctx (Partition.ctx_cost (ctx ())))
+  in
+  let before = Gc.minor_words () in
+  Array.iter
+    (fun (node : Elk_model.Graph.node) ->
+      ignore (Sys.opaque_identity (Partition.exec_tradeoff c node.Elk_model.Graph.op)))
+    (Elk_model.Graph.nodes g);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "distinct operators" 15 (fst (Partition.memo_sizes c));
+  let budget = 800_000. in
+  if words > budget then
+    Alcotest.failf "cold exec_tradeoff allocated %.0f words (budget %.0f)" words budget
 
 let suite =
   [
@@ -305,4 +740,7 @@ let suite =
      test_fingerprint_separates_topologies);
     ("partition: shared memo across contexts", `Quick, test_shared_memo_across_contexts);
     qcheck_enumerate_valid;
+    qcheck_matches_reference;
+    ("partition: zoo matches the list enumeration", `Quick, test_zoo_matches_reference);
+    ("partition: word budget", `Quick, test_cold_word_budget);
   ]

@@ -69,6 +69,43 @@ let test_pareto_equal_x_keeps_min_y () =
   Alcotest.(check int) "size" 1 (List.length f);
   Tu.check_float "y" 2. (List.hd f).Pareto.y
 
+(* The tuple-comparator frontier that [Pareto.frontier] replaced. *)
+let tuple_frontier pts =
+  let sorted = List.stable_sort (fun a b -> compare (a.Pareto.x, a.Pareto.y) (b.Pareto.x, b.Pareto.y)) pts in
+  let rec scan best acc = function
+    | [] -> List.rev acc
+    | p :: rest -> if p.Pareto.y < best then scan p.Pareto.y (p :: acc) rest else scan best acc rest
+  in
+  scan infinity [] sorted
+
+let test_pareto_nan_and_ties () =
+  (* NaN coordinates sort first, -0 and 0 tie, equal points keep the
+     first: the frontier and its order match the tuple comparator. *)
+  let pts =
+    List.mapi
+      (fun i (x, y) -> { Pareto.x; y; payload = i })
+      [ (2., 1.); (nan, 3.); (1., nan); (1., 2.); (1., 2.); (-0., 5.); (0., 4.); (2., nan);
+        (nan, nan); (3., 0.5); (0., 6.) ]
+  in
+  let ids f = List.map (fun p -> p.Pareto.payload) f in
+  Alcotest.(check (list int)) "pinned" [ 1; 3; 0; 9 ] (ids (Pareto.frontier pts));
+  Alcotest.(check (list int)) "tuple comparator" (ids (tuple_frontier pts)) (ids (Pareto.frontier pts));
+  let signed = [ { Pareto.x = 0.; y = 1.; payload = 0 }; { Pareto.x = -0.; y = 1.; payload = 1 } ] in
+  Alcotest.(check (list int)) "signed zeros tie" (ids (tuple_frontier signed)) (ids (Pareto.frontier signed))
+
+let qcheck_frontier_matches_tuple_comparator =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |]) @@
+  QCheck2.Test.make ~count:500 ~name:"pareto: frontier matches the tuple comparator"
+    QCheck2.Gen.(
+      list_size (int_bound 30)
+        (pair
+           (oneof [ oneofl [ nan; -0.; 0.; 1.; infinity ]; float_bound_inclusive 4. ])
+           (oneof [ oneofl [ nan; -0.; 0.; 1.; infinity ]; float_bound_inclusive 4. ])))
+    (fun xys ->
+      let pts = List.mapi (fun i (x, y) -> { Pareto.x; y; payload = i }) xys in
+      List.map (fun p -> p.Pareto.payload) (Pareto.frontier pts)
+      = List.map (fun p -> p.Pareto.payload) (tuple_frontier pts))
+
 let test_is_frontier_rejects_unsorted () =
   Alcotest.(check bool) "unsorted" false (Pareto.is_frontier [ pt 2. 1.; pt 1. 2. ]);
   Alcotest.(check bool) "flat y" false (Pareto.is_frontier [ pt 1. 2.; pt 2. 2. ])
@@ -324,6 +361,8 @@ let suite =
     ("pareto: sorted canonical", `Quick, test_pareto_sorted_and_canonical);
     ("pareto: equal x keeps min y", `Quick, test_pareto_equal_x_keeps_min_y);
     ("pareto: is_frontier rejects", `Quick, test_is_frontier_rejects_unsorted);
+    ("pareto: NaN and equal-x ties", `Quick, test_pareto_nan_and_ties);
+    qcheck_frontier_matches_tuple_comparator;
     ("pareto: best under budget", `Quick, test_best_y_under_x);
     ("pareto: min_x/min_y", `Quick, test_min_x_min_y);
     qcheck_frontier_canonical;
